@@ -9,7 +9,8 @@ reprints a rules file in canonical form.
 Pipeline settings resolve as defaults, then config file (``--config`` or
 the HORNPIPE_CONFIG environment variable; ``key = value`` lines), then
 flags.  Exit codes: 0 success, 1 empty hypothesis / nothing reliable,
-2 validation or config error, 3 I/O error.
+2 validation or config error, 3 I/O error, 4 internal error (a failed
+invariant check).
 """
 
 from __future__ import annotations
@@ -292,6 +293,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except RuntimeError as e:
+        # a failed invariant check must not pass for an empty result (1)
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
 
 
 def run() -> None:

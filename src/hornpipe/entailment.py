@@ -1,23 +1,36 @@
 """Bottom-up entailment for function-free definite programs.
 
 ``consequences`` computes the least Herbrand model of background facts plus
-a rule program by semi-naive (delta-driven) fixpoint iteration with a
-per-predicate first-argument index.  Everything downstream (example
-coverage, rule support, evaluation) is defined in terms of membership in
-that model.
+a rule program.  Round 1 evaluates every rule once, naively, over the whole
+store.  Later rounds are semi-naive: a rule is fired only from body
+literals whose predicate occurs among the facts the previous round derived
+(the delta); that literal takes its rows from the delta and the other
+literals join against the full store.
+
+Each body is joined in a planned order, made once per (rule, seed literal)
+and reused by every later call on an equal rule: after the seed, the
+literal with the most bound or constant arguments goes next, ties to body
+position.  A literal is matched by probing ``FactStore``'s any-position
+index on its first bound or constant argument, or by a scan when it has
+none.
+
+Everything downstream (example coverage, rule support, evaluation) is
+defined in terms of membership in that model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple
 
 from .logic import Atom, Clause, Program, Term, const
 
 # Engine representation: a fact is (predicate, (c1, ..., ck)) over plain
-# strings; compiled rule literals use int variable slots and str constants.
+# strings; compiled rules refer to arguments by int env slots.
 
-Fact = tuple[str, tuple[str, ...]]
+Row = tuple[str, ...]
+Fact = tuple[str, Row]
 
 
 def atom_to_fact(a: Atom) -> Fact:
@@ -31,18 +44,26 @@ def fact_to_atom(f: Fact) -> Atom:
 
 
 class FactStore:
-    """Ground atoms indexed by predicate and by (predicate, first argument).
+    """Ground atoms by predicate, with a lazily built any-position index.
+
+    ``by_pred`` maps a predicate name to its rows (argument tuples; one name
+    may carry rows of several arities).  ``index(pred, arity, pos)`` maps
+    each value found at argument ``pos`` to the rows of that predicate and
+    arity holding it.  An index is built the first time a join asks for it
+    and is kept current by ``add`` from then on, so a join can probe on
+    whichever argument it has bound, first or not.
 
     Not mutated after construction by callers; ``consequences`` builds one
     incrementally and hands it back frozen by convention.
     """
 
-    __slots__ = ("by_pred", "first_arg", "constants", "_count")
+    __slots__ = ("by_pred", "constants", "_index", "_count")
 
     def __init__(self, facts: Iterable[Fact] = ()):
-        self.by_pred: dict[str, set[tuple[str, ...]]] = {}
-        self.first_arg: dict[tuple[str, str], set[tuple[str, ...]]] = {}
+        self.by_pred: dict[str, set[Row]] = {}
         self.constants: set[str] = set()
+        # predicate -> {(arity, position): {value: rows}}
+        self._index: dict[str, dict[tuple[int, int], dict[str, list[Row]]]] = {}
         self._count = 0
         for f in facts:
             self.add(f)
@@ -66,10 +87,27 @@ class FactStore:
         if args in rows:
             return False
         rows.add(args)
-        self.first_arg.setdefault((pred, args[0]), set()).add(args)
+        built = self._index.get(pred)
+        if built:
+            arity = len(args)
+            for (ar, pos), buckets in built.items():
+                if ar == arity:
+                    buckets.setdefault(args[pos], []).append(args)
         self.constants.update(args)
         self._count += 1
         return True
+
+    def index(self, pred: str, arity: int, pos: int) -> dict[str, list[Row]]:
+        """Value at ``pos`` -> rows of ``pred``/``arity``; live, so read-only."""
+        built = self._index.setdefault(pred, {})
+        buckets = built.get((arity, pos))
+        if buckets is None:
+            buckets = {}
+            for row in self.by_pred.get(pred, ()):
+                if len(row) == arity:
+                    buckets.setdefault(row[pos], []).append(row)
+            built[(arity, pos)] = buckets
+        return buckets
 
     def __contains__(self, f: Fact) -> bool:
         rows = self.by_pred.get(f[0])
@@ -89,10 +127,12 @@ class FactStore:
     def atoms(self) -> set[Atom]:
         return {fact_to_atom(f) for f in self.facts()}
 
-    def rows(self, pred: str, first: str | None = None) -> set[tuple[str, ...]]:
+    def rows(self, pred: str, first: str | None = None) -> set[Row]:
+        """Rows of ``pred``, or only those whose first argument is ``first``."""
+        rows = self.by_pred.get(pred, set())
         if first is None:
-            return self.by_pred.get(pred, set())
-        return self.first_arg.get((pred, first), set())
+            return rows
+        return {row for row in rows if row[0] == first}
 
     def components(self) -> tuple[dict[str, int], list[set[Fact]]]:
         """Constant-connected components: (constant -> index, facts per index)."""
@@ -128,75 +168,150 @@ class FactStore:
         return comp_of, groups
 
 
-# --- rule compilation ---------------------------------------------------------
+# --- rule compilation and join planning ----------------------------------------
 
-CompiledLit = tuple[str, tuple[object, ...]]  # args: int var slot | str constant
-
-
-def compile_clause(c: Clause) -> tuple[CompiledLit, tuple[CompiledLit, ...], int]:
-    """(head, body, n_vars) with variables numbered by first occurrence."""
-    slots: dict[Term, int] = {}
-
-    def enc(a: Atom) -> CompiledLit:
-        args: list[object] = []
-        for t in a.args:
-            if t.is_var():
-                args.append(slots.setdefault(t, len(slots)))
-            else:
-                args.append(t.name)
-        return (a.predicate, tuple(args))
-
-    head = enc(c.head)
-    body = tuple(enc(b) for b in c.body)
-    return head, body, len(slots)
+CompiledLit = tuple[str, tuple[int, ...]]  # (predicate, env slot per argument)
+Pairs = tuple[tuple[int, int], ...]  # (argument position, env slot)
 
 
-def match_literal(
-    lit: CompiledLit, store: FactStore, env: list[str | None]
-) -> Iterator[list[str | None]]:
-    """Extend env with every fact row matching the literal."""
+class Step(NamedTuple):
+    """One body literal in a planned join.
+
+    Its rows come from the store's index on ``probe_pos``, looked up by the
+    value in env slot ``probe_slot``, or from a scan of the predicate when
+    it has no bound argument.
+    """
+
+    pred: str
+    arity: int
+    probe_pos: int | None
+    probe_slot: int | None
+    pre: Pairs  # must equal slots bound before this step
+    binds: Pairs  # the literal's new variables, written into the env
+    post: Pairs  # repeats of a new variable inside the literal
+
+
+class CompiledRule:
+    """A rule over env slots: variables first, then one pre-filled slot per constant.
+
+    A constant is thus an argument bound before the body is entered, and
+    every test a join makes compares a row value with an env slot.  Join
+    plans depend on the rule alone, so each is made once and kept here.
+    """
+
+    __slots__ = ("head_pred", "head", "body", "env", "_plans")
+
+    def __init__(self, c: Clause):
+        # variables are numbered by first occurrence (head, then body)
+        slots: dict[Term, int] = {v: i for i, v in enumerate(c.variables())}
+        n_vars = len(slots)
+        for a in (c.head, *c.body):
+            for t in a.args:
+                slots.setdefault(t, len(slots))
+        self.head_pred = c.head.predicate
+        self.head = tuple(slots[t] for t in c.head.args)
+        self.body: tuple[CompiledLit, ...] = tuple(
+            (b.predicate, tuple(slots[t] for t in b.args)) for b in c.body
+        )
+        # initial env: None for variables, names for constants
+        self.env = (None,) * n_vars + tuple(t.name for t in list(slots)[n_vars:])
+        self._plans: dict[int | None, tuple[Step, ...]] = {}
+
+    def plan(self, seed: int | None) -> tuple[Step, ...]:
+        """Join order for the body, seed literal first when there is one.
+
+        The seed literal takes its rows from the delta, so it is matched by
+        scanning them.  Every other literal goes greedily: the one with the
+        most bound or constant arguments next, ties to body position.
+        """
+        steps = self._plans.get(seed)
+        if steps is not None:
+            return steps
+        bound = {i for i, v in enumerate(self.env) if v is not None}
+        todo = list(range(len(self.body)))
+        order = []
+        if seed is not None:
+            todo.remove(seed)
+            order.append(_step(self.body[seed], bound, probe=False))
+        while todo:
+            nxt = max(todo, key=lambda i: (sum(s in bound for s in self.body[i][1]), -i))
+            todo.remove(nxt)
+            order.append(_step(self.body[nxt], bound, probe=True))
+        steps = self._plans[seed] = tuple(order)
+        return steps
+
+
+@lru_cache(maxsize=4096)
+def compile_clause(c: Clause) -> CompiledRule:
+    """Compiled form of a rule, shared by every call that sees an equal clause."""
+    return CompiledRule(c)
+
+
+def _step(lit: CompiledLit, bound: set[int], probe: bool) -> Step:
+    """Compile one literal given the slots bound before it; adds its own to ``bound``."""
     pred, args = lit
-    first = args[0]
-    if isinstance(first, int) and env[first] is not None:
-        first_val: str | None = env[first]
-    elif isinstance(first, str):
-        first_val = first
-    else:
-        first_val = None
-    rows = store.rows(pred, first_val) if first_val is not None else store.rows(pred)
-    arity = len(args)
-    for row in rows:
-        if len(row) != arity:
-            # same name, different arity: a distinct predicate
-            continue
-        new = None
-        ok = True
-        for slot, val in zip(args, row):
-            if isinstance(slot, str):
-                if slot != val:
-                    ok = False
-                    break
-                continue
-            bound = env[slot] if new is None else new[slot]
-            if bound is None:
-                if new is None:
-                    new = env.copy()
-                new[slot] = val
-            elif bound != val:
-                ok = False
-                break
-        if ok:
-            yield new if new is not None else env.copy()
+    probe_pos = probe_slot = None
+    pre: list[tuple[int, int]] = []
+    binds: list[tuple[int, int]] = []
+    post: list[tuple[int, int]] = []
+    fresh: set[int] = set()
+    for pos, s in enumerate(args):
+        if s in bound:
+            if probe and probe_pos is None:
+                probe_pos, probe_slot = pos, s
+            else:
+                pre.append((pos, s))
+        elif s in fresh:
+            post.append((pos, s))
+        else:
+            fresh.add(s)
+            binds.append((pos, s))
+    bound |= fresh
+    return Step(pred, len(args), probe_pos, probe_slot, tuple(pre), tuple(binds), tuple(post))
+
+
+Index = dict[str, list[Row]]
+
+
+def _rows(step: Step, index: Index | None, env: list[str | None], store: FactStore) -> Iterable[Row]:
+    if index is not None:
+        return index.get(env[step.probe_slot], ())  # type: ignore[index]
+    return [row for row in store.by_pred.get(step.pred, ()) if len(row) == step.arity]
 
 
 def _join(
-    body: tuple[CompiledLit, ...], store: FactStore, env: list[str | None]
-) -> Iterator[list[str | None]]:
-    if not body:
-        yield env
-        return
-    for env2 in match_literal(body[0], store, env):
-        yield from _join(body[1:], store, env2)
+    steps: tuple[Step, ...],
+    indexes: tuple[Index | None, ...],
+    k: int,
+    rows: Iterable[Row],
+    env: list[str | None],
+    store: FactStore,
+    rule: CompiledRule,
+    out: set[Fact],
+) -> None:
+    """Match ``rows`` against step k, recurse on the rest, and add each head to ``out``.
+
+    One env serves the whole search: a step overwrites its own slots for
+    every row, and later steps read only slots bound before them.
+    """
+    _, _, _, _, pre, binds, post = steps[k]
+    last = k + 1 == len(steps)
+    for row in rows:
+        for pos, s in pre:
+            if row[pos] != env[s]:
+                break
+        else:
+            for pos, s in binds:
+                env[s] = row[pos]
+            for pos, s in post:
+                if row[pos] != env[s]:
+                    break
+            else:
+                if last:
+                    out.add((rule.head_pred, tuple([env[s] for s in rule.head])))  # type: ignore[misc]
+                else:
+                    nxt = _rows(steps[k + 1], indexes[k + 1], env, store)
+                    _join(steps, indexes, k + 1, nxt, env, store, rule, out)
 
 
 def consequences(background: Program, hypothesis: Program) -> FactStore:
@@ -207,51 +322,50 @@ def consequences(background: Program, hypothesis: Program) -> FactStore:
     background.
     """
     store = FactStore.from_program(background)
-    rules = []
+    rules: list[CompiledRule] = []
     for c in hypothesis:
         if c.is_fact():
             store.add(atom_to_fact(c.head))
         else:
             rules.append(compile_clause(c))
 
-    delta = set(store.facts())
-    while delta:
-        new_delta: set[Fact] = set()
-        for head, body, n_vars in rules:
-            for i, lit in enumerate(body):
-                # seed literal i from the delta, remaining literals from the
-                # full store; set semantics absorbs re-derivations
-                pred = lit[0]
-                for d_pred, d_args in delta:
-                    if d_pred != pred or len(d_args) != len(lit[1]):
-                        continue
-                    env: list[str | None] = [None] * n_vars
-                    ok = True
-                    for slot, val in zip(lit[1], d_args):
-                        if isinstance(slot, str):
-                            if slot != val:
-                                ok = False
-                                break
-                        elif env[slot] is None:
-                            env[slot] = val
-                        elif env[slot] != val:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    rest = body[:i] + body[i + 1 :]
-                    for final in _join(rest, store, env):
-                        args = tuple(
-                            s if isinstance(s, str) else final[s]  # type: ignore[misc]
-                            for s in head[1]
-                        )
-                        derived = (head[0], args)
-                        if derived not in store:
-                            new_delta.add(derived)
-        for f in new_delta:
-            store.add(f)
-        delta = new_delta
-    return store
+    # this store's index for each probing step, per (rule, seed literal)
+    step_indexes: dict[tuple[int, int | None], tuple[Index | None, ...]] = {}
+
+    def fire(r: int, seed: int | None, rows: Iterable[Row] | None, out: set[Fact]) -> None:
+        rule = rules[r]
+        steps = rule.plan(seed)
+        indexes = step_indexes.get((r, seed))
+        if indexes is None:
+            indexes = step_indexes[(r, seed)] = tuple(
+                None if s.probe_pos is None else store.index(s.pred, s.arity, s.probe_pos)
+                for s in steps
+            )
+        env = list(rule.env)
+        if rows is None:
+            rows = _rows(steps[0], indexes[0], env, store)
+        _join(steps, indexes, 0, rows, env, store, rule, out)
+
+    # round 1: every rule once, naively, over the whole store
+    derived: set[Fact] = set()
+    for r in range(len(rules)):
+        fire(r, None, None, derived)
+    while True:
+        delta: dict[tuple[str, int], list[Row]] = {}
+        for f in derived:
+            if store.add(f):
+                delta.setdefault((f[0], len(f[1])), []).append(f[1])
+        if not delta:
+            return store
+        # later rounds: seed each literal whose predicate is in the delta
+        # from the delta, the rest from the full store; set semantics absorbs
+        # re-derivations
+        derived = set()
+        for r, rule in enumerate(rules):
+            for i, (pred, args) in enumerate(rule.body):
+                rows = delta.get((pred, len(args)))
+                if rows:
+                    fire(r, i, rows, derived)
 
 
 def entails(background: Program, hypothesis: Program, example: Atom) -> bool:

@@ -148,7 +148,6 @@ class SolverRequest:
     examples: ExampleSet
     bias: BiasSpec
     timeout: float = DEFAULT_TIMEOUT
-    seed: int = 0  # reserved for randomized solvers; the reference one is deterministic
 
 
 @dataclass(frozen=True)

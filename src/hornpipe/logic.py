@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations
 from typing import Iterable, Iterator
 
 _PRED_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -173,6 +172,11 @@ def canonical(clause: Clause) -> Clause:
     induced renaming gives the least literal sequence.  Two clauses are
     equal modulo renaming and body reordering iff their canonical forms
     are identical.  Idempotent.
+
+    The least sequence is found one position at a time.  A literal's key
+    depends only on the literals placed before it, so the least sequence
+    starts with the least key any literal can take next; the search keeps
+    every partial order that reaches that key (ties) and extends only those.
     """
     if not clause.body:
         return clause
@@ -186,21 +190,21 @@ def canonical(clause: Clause) -> Clause:
     for v in clause.head.variables():
         head_vars.setdefault(v, len(head_vars))
 
-    best_key = None
-    best: list[Atom] | None = None
-    best_map: dict[Term, int] | None = None
-    for perm in permutations(body):
-        renaming = dict(head_vars)
-        for lit in perm:
-            for v in lit.variables():
-                renaming.setdefault(v, len(renaming))
-        key = tuple(
-            (lit.predicate, tuple(_arg_key(a, renaming) for a in lit.args))
-            for lit in perm
-        )
-        if best_key is None or key < best_key:
-            best_key, best, best_map = key, list(perm), renaming
-    assert best is not None and best_map is not None
+    # partial orders tied for the least key prefix: (order, remaining, renaming)
+    frontier = [((), tuple(body), head_vars)]
+    for _ in body:
+        options = []
+        for order, remaining, renaming in frontier:
+            for i, lit in enumerate(remaining):
+                ext = dict(renaming)
+                for v in lit.variables():
+                    ext.setdefault(v, len(ext))
+                key = (lit.predicate, tuple(_arg_key(a, ext) for a in lit.args))
+                options.append((key, order + (lit,), remaining[:i] + remaining[i + 1 :], ext))
+        least = min(o[0] for o in options)
+        frontier = [o[1:] for o in options if o[0] == least]
+    # every survivor has the same key sequence, hence the same renamed body
+    best, _, best_map = frontier[0]
 
     fresh = {old: Term("var", f"V{i}") for old, i in best_map.items()}
 

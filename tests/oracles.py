@@ -60,22 +60,26 @@ def random_instance(
     max_clauses: int = 3,
     max_body: int = 3,
     max_facts: int = 10,
+    arities: tuple[int, int] = (1, 2),
+    n_vars: int = 4,
 ) -> tuple[Program, Program]:
     """A random (background, hypothesis) pair of bounded size.
 
     Clauses are range-restricted and connected (resampled otherwise) and may
     chain: one clause's head predicate can feed another clause's body.
+    Predicate arities are drawn from the inclusive range ``arities``, and
+    clause variables from ``n_vars`` names.
     """
     n_const = rng.randint(2, max_constants)
     consts = [f"c{i}" for i in range(n_const)]
-    preds = [(f"p{i}", rng.randint(1, 2)) for i in range(rng.randint(1, max_predicates))]
+    preds = [(f"p{i}", rng.randint(*arities)) for i in range(rng.randint(1, max_predicates))]
 
     facts = set()
     for _ in range(rng.randint(1, max_facts)):
         pred, arity = rng.choice(preds)
         facts.add(Atom(pred, tuple(const(rng.choice(consts)) for _ in range(arity))))
 
-    variables = [Term("var", f"X{i}") for i in range(4)]
+    variables = [Term("var", f"X{i}") for i in range(n_vars)]
     clauses = []
     attempts = 0
     while len(clauses) < rng.randint(1, max_clauses) and attempts < 200:

@@ -209,6 +209,19 @@ def test_missing_corpus_exits_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_failed_invariant_check_exits_four(tmp_path, capsys, monkeypatch):
+    from hornpipe import learner
+
+    corpus = _gen(tmp_path, subsets=2)
+    capsys.readouterr()
+    unsound = learner.Verification("unsound", (), ())
+    monkeypatch.setattr(learner, "verify", lambda *args: unsound)
+    code = main(["learn", "--corpus-dir", str(corpus), "--out", str(tmp_path / "run")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "self-check failed (unsound)" in err
+
+
 def test_unknown_flag_fails_fast(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["learn", "--corpus-dir", "x", "--out", "y", "--turbo"])

@@ -7,6 +7,7 @@ enumerates every variable bijection and body ordering.
 from __future__ import annotations
 
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -26,7 +27,7 @@ from hornpipe.logic import (
     term,
     var,
 )
-from hornpipe.parsing import parse_clause
+from hornpipe.parsing import parse_clause, parse_rules
 
 
 # --- oracle -----------------------------------------------------------------
@@ -53,6 +54,41 @@ def variant_oracle(c1: Clause, c2: Clause) -> bool:
         ):
             return True
     return False
+
+
+def brute_force_canonical(clause: Clause) -> Clause:
+    """Canonical form by trying every body ordering; factorial, small use only."""
+    if not clause.body:
+        return clause
+    body: list[Atom] = []
+    for lit in clause.body:
+        if lit not in body:
+            body.append(lit)
+    head_vars: dict[Term, int] = {}
+    for v in clause.head.variables():
+        head_vars.setdefault(v, len(head_vars))
+
+    def arg_key(t: Term, renaming: dict[Term, int]):
+        return (0, renaming[t], "") if t.is_var() else (1, 0, t.name)
+
+    best = None
+    for perm in permutations(body):
+        renaming = dict(head_vars)
+        for lit in perm:
+            for v in lit.variables():
+                renaming.setdefault(v, len(renaming))
+        key = tuple(
+            (lit.predicate, tuple(arg_key(a, renaming) for a in lit.args)) for lit in perm
+        )
+        if best is None or key < best[0]:
+            best = (key, perm, renaming)
+    _, perm, renaming = best
+    fresh = {old: Term("var", f"V{i}") for old, i in renaming.items()}
+
+    def rename(a: Atom) -> Atom:
+        return Atom(a.predicate, tuple(fresh.get(t, t) for t in a.args))
+
+    return Clause(rename(clause.head), tuple(rename(b) for b in perm))
 
 
 # --- random clause generator (plain random, used by the frozen-seed suite) ---
@@ -169,6 +205,23 @@ def test_canonical_idempotent_and_matches_oracle():
         assert canonical(c1) == canonical(canonical(c1))
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_canonical_matches_brute_force_form(seed):
+    """Up to 6 body literals over 4 predicates, so tied keys are common."""
+    rng = random.Random(seed)
+    c = random_clause(rng, max_body=6, max_vars=rng.randint(2, 6))
+    assert canonical(c) == brute_force_canonical(c)
+
+
+def test_canonical_long_chain_rule_is_fast():
+    lits = ",".join(f"p{i}(X{i},X{i + 1})" for i in range(10))
+    start = time.perf_counter()
+    rules = parse_rules(f"h(X0,X10):- {lits}.\n")
+    assert time.perf_counter() - start < 1.0
+    assert len(rules) == 1
+
+
 def test_canonical_invariant_under_renaming_and_reordering():
     rng = random.Random(7)
     for _ in range(200):
@@ -203,8 +256,6 @@ def test_parse_print_roundtrip_is_canonical(c):
 @settings(deadline=None, max_examples=60)
 @given(st.lists(clauses(), max_size=5))
 def test_program_roundtrip(cs):
-    from hornpipe.parsing import parse_rules
-
     p = Program.of(cs)
     assert parse_rules(print_program(p)) == p
     assert len(p) <= len(cs)
