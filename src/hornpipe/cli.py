@@ -26,10 +26,9 @@ from .evalharness import Scenario, diff_hypotheses, evaluate
 from .ingestion import bundle_source_from_stored
 from .logic import print_program
 from .parsing import ParseError, parse_bias
-from .pipeline import PipelineConfig, check_subsets, run_pipeline, validate_bundle
+from .pipeline import PipelineConfig, run_checks, run_pipeline
 from .reporting import (
-    SCHEMA_VERSION,
-    _line,
+    check_report_lines,
     diff_report_lines,
     diff_summary,
     eval_report_lines,
@@ -135,39 +134,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     bias, stored = load_corpus(Path(args.corpus_dir))
     bias = _load_bias(args, bias)
     config = _pipeline_config(args)
-    outcomes = [
-        validate_bundle(bundle_source_from_stored(s), bias, config.validation_attempts)
-        for s in stored
-    ]
-    subsets = [o.subset for o in outcomes if o.accepted and o.subset is not None]
-    reliable, checks = check_subsets(subsets, bias, config)
-
-    lines = [_line("schema", version=SCHEMA_VERSION, kind="check")]
-    for o in outcomes:
-        lines.append(
-            _line(
-                "validation",
-                bundle_id=o.bundle_id,
-                timestamp=o.timestamp,
-                accepted=o.accepted,
-                attempts_used=o.attempts_used,
-                reasons=list(o.reasons),
-            )
-        )
-    for c in checks:
-        lines.append(
-            _line(
-                "subset_check",
-                subset_id=c.subset_id,
-                outcome=c.outcome,
-                reliable=c.reliable,
-                clause_count=c.clause_count,
-            )
-        )
+    sources = [bundle_source_from_stored(s) for s in stored]
+    outcomes, reliable, checks = run_checks(sources, bias, config)
     if args.out:
-        write_report_lines(Path(args.out), lines)
-    print(f"validation: {len(subsets)}/{len(outcomes)} bundles accepted")
-    print(f"subset checks: {len(reliable)}/{len(subsets)} reliable")
+        write_report_lines(Path(args.out), check_report_lines(outcomes, checks))
+    print(f"validation: {len(checks)}/{len(outcomes)} bundles accepted")
+    print(f"subset checks: {len(reliable)}/{len(checks)} reliable")
     for o in outcomes:
         if not o.accepted:
             print(f"  rejected {o.bundle_id}: {'; '.join(o.reasons)}")

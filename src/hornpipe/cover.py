@@ -3,11 +3,15 @@
 A candidate clause has a head with distinct variables and a connected body,
 so for a ground head binding the body splits into groups tied together only
 through head variables.  Each group can only match inside one
-constant-connected component of the fact store.  Solutions (projections of
-group matches onto the group's head variables) are therefore computed once
-per (candidate, group, component) and unioned; example coverage reduces to
-set lookups.  Results are exact: equivalence with the fixpoint engine is
-property-tested.
+constant-connected component of the fact store.  A group is kept as a rule
+of its own: the candidate's head predicate over the head variables the
+group binds, with the group's literals as its body.  Its solutions in a
+component (projections of its matches onto those head variables) are the
+heads that rule derives when ``entailment.fire`` runs it once over the
+component, through the same planned join as the fixpoint engine.  They are
+unioned over components, and example coverage reduces to set lookups.
+Results are exact: equivalence with the fixpoint engine and with an
+exhaustive oracle is property-tested.
 
 The cache is keyed by component content, so repeated solver calls over a
 growing background (the aggregation loop) reuse every unchanged component.
@@ -15,21 +19,23 @@ growing background (the aggregation loop) reuse every unchanged component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
-from .entailment import Fact, FactStore
+from .entailment import CompiledRule, Fact, FactStore, fire
 from .logic import Atom, Clause
-
-# Literal args are encoded as ints: head variable i -> -(i+1), group-local
-# existential variables -> 0, 1, ...  Candidate clauses never hold constants.
 
 
 @dataclass(frozen=True)
 class Group:
     head_slots: tuple[int, ...]  # head-arg indices this group binds, ascending
-    lits: tuple[tuple[str, tuple[int, ...]], ...]
-    n_local: int
     preds: frozenset[str]
+    rule: Clause  # head: the head variables at head_slots; body: the group's literals
+
+    @cached_property
+    def compiled(self) -> CompiledRule:
+        # built on the first cache miss, so compiling a bias stays cheap
+        return CompiledRule(self.rule)
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,8 @@ class Candidate:
 
 
 def compile_candidate(clause: Clause, text: str) -> Candidate:
-    head_vars = list(clause.head.args)
+    head = clause.head
+    head_vars = list(head.args)
     if len(set(head_vars)) != len(head_vars) or any(t.is_const() for t in head_vars):
         raise ValueError(f"candidate head must have distinct variables: {clause}")
     head_slot = {v: i for i, v in enumerate(head_vars)}
@@ -64,6 +71,8 @@ def compile_candidate(clause: Clause, text: str) -> Candidate:
 
     owner: dict = {}
     for i, lit in enumerate(clause.body):
+        if any(t.is_const() for t in lit.args):
+            raise ValueError(f"candidate clauses must be constant-free: {clause}")
         for v in lit.variables():
             if v in head_slot:
                 continue
@@ -74,36 +83,21 @@ def compile_candidate(clause: Clause, text: str) -> Candidate:
             else:
                 owner[v] = i
 
-    members: dict[int, list[int]] = {}
+    members: dict[int, list[Atom]] = {}
     for i in range(n):
-        members.setdefault(find(i), []).append(i)
+        members.setdefault(find(i), []).append(clause.body[i])
 
     groups = []
-    for idxs in members.values():
-        local: dict = {}
-        lits = []
-        slots = set()
-        for i in idxs:
-            lit = clause.body[i]
-            args = []
-            for t in lit.args:
-                if t in head_slot:
-                    args.append(-(head_slot[t] + 1))
-                    slots.add(head_slot[t])
-                elif t.is_var():
-                    args.append(local.setdefault(t, len(local)))
-                else:
-                    raise ValueError(f"candidate clauses must be constant-free: {clause}")
-            lits.append((lit.predicate, tuple(args)))
+    for lits in members.values():
+        slots = tuple(sorted({head_slot[v] for lit in lits for v in lit.args if v in head_slot}))
         if not slots:
             # connectedness guarantees every group touches the head
             raise ValueError(f"group without head variables in {clause}")
         groups.append(
             Group(
-                head_slots=tuple(sorted(slots)),
-                lits=tuple(lits),
-                n_local=len(local),
-                preds=frozenset(p for p, _ in lits),
+                head_slots=slots,
+                preds=frozenset(lit.predicate for lit in lits),
+                rule=Clause(Atom(head.predicate, tuple(head_vars[s] for s in slots)), tuple(lits)),
             )
         )
     groups.sort(key=lambda g: g.head_slots)
@@ -111,61 +105,13 @@ def compile_candidate(clause: Clause, text: str) -> Candidate:
 
 
 class _ComponentView:
-    __slots__ = ("key", "by_pred", "preds")
+    """One constant-connected component, keyed by its facts."""
+
+    __slots__ = ("key", "preds")
 
     def __init__(self, facts: set[Fact]):
         self.key = frozenset(facts)
-        self.by_pred: dict[str, list[tuple[str, ...]]] = {}
-        for pred, args in facts:
-            self.by_pred.setdefault(pred, []).append(args)
-        self.preds = frozenset(self.by_pred)
-
-
-def _group_solutions(group: Group, view: _ComponentView) -> frozenset[tuple[str, ...]]:
-    """All projections of group matches in the component onto its head slots."""
-    sols: set[tuple[str, ...]] = set()
-    lits = group.lits
-    head_env: dict[int, str] = {}
-    local_env: list[str | None] = [None] * group.n_local
-
-    def rec(i: int) -> None:
-        if i == len(lits):
-            sols.add(tuple(head_env[s] for s in group.head_slots))
-            return
-        pred, args = lits[i]
-        for row in view.by_pred.get(pred, ()):
-            if len(row) != len(args):
-                continue
-            bound: list[tuple[int, bool]] = []  # (slot, is_head) bindings to undo
-            ok = True
-            for slot, val in zip(args, row):
-                if slot < 0:
-                    h = -slot - 1
-                    cur = head_env.get(h)
-                    if cur is None:
-                        head_env[h] = val
-                        bound.append((h, True))
-                    elif cur != val:
-                        ok = False
-                        break
-                else:
-                    cur = local_env[slot]
-                    if cur is None:
-                        local_env[slot] = val
-                        bound.append((slot, False))
-                    elif cur != val:
-                        ok = False
-                        break
-            if ok:
-                rec(i + 1)
-            for slot, is_head in bound:
-                if is_head:
-                    del head_env[slot]
-                else:
-                    local_env[slot] = None
-
-    rec(0)
-    return frozenset(sols)
+        self.preds = frozenset(pred for pred, _ in facts)
 
 
 class CoverCache:
@@ -184,14 +130,16 @@ class CoverCache:
         cached = self.tables.get(view.key)
         if cached is not None:
             return cached
+        store = FactStore(view.key)
         table: dict[tuple[int, int], frozenset] = {}
         for ci, cand in enumerate(candidates):
             for gi, group in enumerate(cand.groups):
                 if not group.preds <= view.preds:
                     continue
-                sols = _group_solutions(group, view)
-                if sols:
-                    table[(ci, gi)] = sols
+                heads: set[Fact] = set()
+                fire(group.compiled, store, heads)
+                if heads:
+                    table[(ci, gi)] = frozenset(args for _, args in heads)
         self.tables[view.key] = table
         return table
 

@@ -14,6 +14,10 @@ position.  A literal is matched by probing ``FactStore``'s any-position
 index on its first bound or constant argument, or by a scan when it has
 none.
 
+``fire`` runs one compiled rule once over a store.  It is the only join
+path: ``consequences`` calls it for every round, and ``cover`` calls it to
+solve candidate body groups per component.
+
 Everything downstream (example coverage, rule support, evaluation) is
 defined in terms of membership in that model.
 """
@@ -126,13 +130,6 @@ class FactStore:
 
     def atoms(self) -> set[Atom]:
         return {fact_to_atom(f) for f in self.facts()}
-
-    def rows(self, pred: str, first: str | None = None) -> set[Row]:
-        """Rows of ``pred``, or only those whose first argument is ``first``."""
-        rows = self.by_pred.get(pred, set())
-        if first is None:
-            return rows
-        return {row for row in rows if row[0] == first}
 
     def components(self) -> tuple[dict[str, int], list[set[Fact]]]:
         """Constant-connected components: (constant -> index, facts per index)."""
@@ -314,6 +311,29 @@ def _join(
                     _join(steps, indexes, k + 1, nxt, env, store, rule, out)
 
 
+def fire(
+    rule: CompiledRule,
+    store: FactStore,
+    out: set[Fact],
+    seed: int | None = None,
+    rows: Iterable[Row] | None = None,
+) -> None:
+    """Fire a rule once over the store and add each head it derives to ``out``.
+
+    With no seed the rule is fired naively: every body literal takes its
+    rows from the store.  With a seed, body literal ``seed`` takes ``rows``
+    instead (the semi-naive case).
+    """
+    steps = rule.plan(seed)
+    indexes = tuple(
+        None if s.probe_pos is None else store.index(s.pred, s.arity, s.probe_pos) for s in steps
+    )
+    env = list(rule.env)
+    if rows is None:
+        rows = _rows(steps[0], indexes[0], env, store)
+    _join(steps, indexes, 0, rows, env, store, rule, out)
+
+
 def consequences(background: Program, hypothesis: Program) -> FactStore:
     """Least model of ``background ∪ hypothesis`` as a FactStore.
 
@@ -329,27 +349,10 @@ def consequences(background: Program, hypothesis: Program) -> FactStore:
         else:
             rules.append(compile_clause(c))
 
-    # this store's index for each probing step, per (rule, seed literal)
-    step_indexes: dict[tuple[int, int | None], tuple[Index | None, ...]] = {}
-
-    def fire(r: int, seed: int | None, rows: Iterable[Row] | None, out: set[Fact]) -> None:
-        rule = rules[r]
-        steps = rule.plan(seed)
-        indexes = step_indexes.get((r, seed))
-        if indexes is None:
-            indexes = step_indexes[(r, seed)] = tuple(
-                None if s.probe_pos is None else store.index(s.pred, s.arity, s.probe_pos)
-                for s in steps
-            )
-        env = list(rule.env)
-        if rows is None:
-            rows = _rows(steps[0], indexes[0], env, store)
-        _join(steps, indexes, 0, rows, env, store, rule, out)
-
     # round 1: every rule once, naively, over the whole store
     derived: set[Fact] = set()
-    for r in range(len(rules)):
-        fire(r, None, None, derived)
+    for rule in rules:
+        fire(rule, store, derived)
     while True:
         delta: dict[tuple[str, int], list[Row]] = {}
         for f in derived:
@@ -361,11 +364,11 @@ def consequences(background: Program, hypothesis: Program) -> FactStore:
         # from the delta, the rest from the full store; set semantics absorbs
         # re-derivations
         derived = set()
-        for r, rule in enumerate(rules):
+        for rule in rules:
             for i, (pred, args) in enumerate(rule.body):
                 rows = delta.get((pred, len(args)))
                 if rows:
-                    fire(r, i, rows, derived)
+                    fire(rule, store, derived, i, rows)
 
 
 def entails(background: Program, hypothesis: Program, example: Atom) -> bool:

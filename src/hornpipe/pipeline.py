@@ -12,10 +12,11 @@ shuffled passes retry, keeping the best trial.
 Stage 4 (pruning): drop accepted rules whose standalone support on the
 aggregated positives falls below a fraction of the maximum support.
 
-After every accepted step the current hypothesis is re-verified to entail
-all aggregated positives and no aggregated negatives; pruning is then
-re-checked to keep the hypothesis negative-safe.  Both checks raise rather
-than degrade.
+Every accepted aggregation state is verified exactly once: the solver's
+self-check confirms, with the fixpoint engine, that the hypothesis entails
+all aggregated positives and no aggregated negatives before the solve
+returns it.  Pruning is then re-checked to keep the hypothesis
+negative-safe.  Both checks raise rather than degrade.
 """
 
 from __future__ import annotations
@@ -367,8 +368,8 @@ def aggregate(
     accepted count) winning.  Trials stop early once the dropped-subset
     fraction is within retry_fail_threshold.
 
-    on_accept(trial, state) fires after every accepted candidate, after the
-    state has been re-verified training-correct.
+    on_accept(trial, state) fires after every accepted candidate; the
+    state is training-correct, as the solver's self-check has confirmed.
     """
     if not reliable:
         return AggregationOutcome(_empty_state(), 0, (), False)
@@ -468,11 +469,7 @@ def _advance(
     decision: CandidateDecision,
     log: list[CandidateDecision],
 ) -> AggregationState:
-    check = learner.verify(background, hypothesis, examples)
-    if check.status != "consistent":
-        raise RuntimeError(
-            f"aggregation invariant broken after {subset.id}: {check.status}"
-        )
+    """Record an accepted step; the solve that produced it has verified the state."""
     log.append(decision)
     return AggregationState(
         accepted_ids=(*state.accepted_ids, subset.id),
@@ -531,12 +528,20 @@ class PipelineReport:
         return len(self.aggregation.best.hypothesis.clauses)
 
 
-def run_pipeline(sources: list[BundleSource], bias: BiasSpec, config: PipelineConfig) -> PipelineReport:
+def run_checks(
+    sources: list[BundleSource], bias: BiasSpec, config: PipelineConfig
+) -> tuple[tuple[ValidationOutcome, ...], list[SubsetInstance], list[SubsetCheck]]:
+    """Stages 1-2: (validation outcomes, reliable subsets, one check per valid subset)."""
     outcomes = tuple(
         validate_bundle(src, bias, config.validation_attempts) for src in sources
     )
     subsets = [o.subset for o in outcomes if o.accepted and o.subset is not None]
     reliable, checks = check_subsets(subsets, bias, config)
+    return outcomes, reliable, checks
+
+
+def run_pipeline(sources: list[BundleSource], bias: BiasSpec, config: PipelineConfig) -> PipelineReport:
+    outcomes, reliable, checks = run_checks(sources, bias, config)
     agg = aggregate(reliable, bias, config)
 
     best = agg.best
@@ -549,7 +554,7 @@ def run_pipeline(sources: list[BundleSource], bias: BiasSpec, config: PipelineCo
 
     if not sources:
         emptied = "no_bundles"
-    elif not subsets:
+    elif not checks:
         emptied = "validation"
     elif not reliable:
         emptied = "subset_checks"

@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterable
 
 from .evalharness import EvalReport, HypothesisDiff
 from .logic import print_clause
-from .pipeline import PipelineConfig, PipelineReport
+from .pipeline import PipelineConfig, PipelineReport, SubsetCheck, ValidationOutcome
 
 SCHEMA_VERSION = 1
 
@@ -24,32 +25,48 @@ def _line(record: str, **fields) -> str:
     return json.dumps({"record": record, **fields}, sort_keys=True)
 
 
+def _check_lines(
+    validation: Iterable[ValidationOutcome], subset_checks: Iterable[SubsetCheck]
+) -> list[str]:
+    """The ``validation`` and ``subset_check`` records of stages 1-2."""
+    lines = [
+        _line(
+            "validation",
+            bundle_id=v.bundle_id,
+            timestamp=v.timestamp,
+            accepted=v.accepted,
+            attempts_used=v.attempts_used,
+            reasons=list(v.reasons),
+        )
+        for v in validation
+    ]
+    lines += [
+        _line(
+            "subset_check",
+            subset_id=c.subset_id,
+            outcome=c.outcome,
+            reliable=c.reliable,
+            clause_count=c.clause_count,
+        )
+        for c in subset_checks
+    ]
+    return lines
+
+
+def check_report_lines(
+    validation: Iterable[ValidationOutcome], subset_checks: Iterable[SubsetCheck]
+) -> list[str]:
+    """The report of ``hornpipe check``: stages 1-2 only."""
+    schema = _line("schema", version=SCHEMA_VERSION, kind="check")
+    return [schema, *_check_lines(validation, subset_checks)]
+
+
 def pipeline_report_lines(report: PipelineReport, config: PipelineConfig) -> list[str]:
     lines = [
         _line("schema", version=SCHEMA_VERSION, kind="pipeline"),
         _line("config", **asdict(config)),
+        *_check_lines(report.validation, report.subset_checks),
     ]
-    for v in report.validation:
-        lines.append(
-            _line(
-                "validation",
-                bundle_id=v.bundle_id,
-                timestamp=v.timestamp,
-                accepted=v.accepted,
-                attempts_used=v.attempts_used,
-                reasons=list(v.reasons),
-            )
-        )
-    for c in report.subset_checks:
-        lines.append(
-            _line(
-                "subset_check",
-                subset_id=c.subset_id,
-                outcome=c.outcome,
-                reliable=c.reliable,
-                clause_count=c.clause_count,
-            )
-        )
     agg = report.aggregation
     for t in agg.trials:
         lines.append(

@@ -1,4 +1,4 @@
-"""On-disk layouts: corpora, scenarios, solver request bundles, manifests.
+"""On-disk layouts: corpora, scenarios, manifests.
 
 A corpus directory holds one subdirectory per subset plus a shared bias:
 
@@ -168,23 +168,6 @@ def load_scenario_dirs(scenarios_dir: Path) -> list[tuple[str, Program, ExampleS
 
 
 # ------------------------------------------------- solver request file bundle
-
-
-def write_solver_request(d: Path, background: Program, examples: ExampleSet, bias: BiasSpec) -> None:
-    """Serialize one solver call so an external ILP system can answer it."""
-    d = Path(d)
-    d.mkdir(parents=True, exist_ok=True)
-    (d / BK_FILE).write_text(print_program(background), encoding="utf-8")
-    (d / EXS_FILE).write_text(print_examples(examples), encoding="utf-8")
-    (d / BIAS_FILE).write_text(print_bias(bias), encoding="utf-8")
-
-
-def read_solver_request(d: Path) -> tuple[Program, ExampleSet, BiasSpec]:
-    d = Path(d)
-    bias = parse_bias((d / BIAS_FILE).read_text(encoding="utf-8"))
-    background = parse_facts((d / BK_FILE).read_text(encoding="utf-8"))
-    examples = parse_examples((d / EXS_FILE).read_text(encoding="utf-8"), bias)
-    return background, examples, bias
 
 
 def write_rules(path: Path, hypothesis: Program) -> None:

@@ -38,8 +38,8 @@ def test_factstore_indexes_and_constants():
     p = prog("p(a,b).", "p(a,c).", "q(b).")
     store = FactStore(atom_to_fact(a) for a in [c.head for c in p])
     assert len(store) == 3
-    assert store.rows("p", "a") == {("a", "b"), ("a", "c")}
-    assert store.rows("q") == {("b",)}
+    assert store.by_pred["p"] == {("a", "b"), ("a", "c")}
+    assert store.by_pred["q"] == {("b",)}
     assert store.constants == {"a", "b", "c"}
     assert store.has_atom(atom("p", "a", "b"))
     assert not store.has_atom(atom("p", "b", "a"))

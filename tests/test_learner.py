@@ -12,7 +12,13 @@ import random
 
 import pytest
 
-from hornpipe.cover import CoverCache, compile_candidate, coverage_tables, covered_atoms
+from hornpipe.cover import (
+    CoverCache,
+    compile_candidate,
+    coverage_tables,
+    covered_atoms,
+    covers_any,
+)
 from hornpipe.entailment import FactStore, coverage
 from hornpipe.learner import (
     SolverRequest,
@@ -25,6 +31,7 @@ from hornpipe.learner import (
 from hornpipe.logic import Atom, ExampleSet, Program, atom, canonical, const, print_clause
 from hornpipe.parsing import parse_bias, parse_clause, parse_examples, parse_facts
 
+from oracles import naive_consequences
 from test_parsing import VOCAB_BIAS
 
 RULE_CROSS_LANDING = "collision(V0,V1):- cross_runway(V0,V2),landing_runway(V1,V2)."
@@ -178,6 +185,48 @@ def test_cover_path_matches_engine_on_random_instances():
             assert fast == set(engine.covered_pos) | set(engine.covered_neg), (
                 cov.candidate.text
             )
+
+
+def two_pool_background(rng: random.Random) -> Program:
+    """Random facts over two disjoint constant pools.
+
+    The store then has at least two components, so a candidate whose body
+    splits into groups can bind each group in a different one, as in
+    ``test_split_body_covers_across_components``.
+    """
+    facts: list[Atom] = []
+    for pool in ("a", "b"):
+        consts = [f"{pool}{i}" for i in range(rng.randint(1, 3))]
+        for pred, ar in (("p", 2), ("q", 2), ("r", 1)):
+            for args in itertools.product(consts, repeat=ar):
+                if rng.random() < 0.35:
+                    facts.append(Atom(pred, tuple(const(a) for a in args)))
+    return Program.of(facts)
+
+
+def test_cover_path_matches_exhaustive_oracle_across_components():
+    """Cover tables against ``oracles.naive_consequences``, which shares no
+    code with the join kernel that both cover and the fixpoint engine run."""
+    candidates = [
+        compile_candidate(c, print_clause(c)) for c in enumerate_clauses(SMALL_BIAS)
+    ]
+    assert sum(len(c.groups) > 1 for c in candidates) > len(candidates) // 2
+    rng = random.Random(20261018)
+    cross = 0
+    for _ in range(12):
+        background = two_pool_background(rng)
+        consts = sorted(FactStore.from_program(background).constants)
+        every = {(x, y): atom("h", x, y) for x in consts for y in consts}
+        some = dict(rng.sample(sorted(every.items()), k=len(every) // 4))
+        for cov in coverage_tables(candidates, FactStore.from_program(background)):
+            model = naive_consequences(background, Program.of([cov.candidate.clause]))
+            derived = {a for a in model if a.predicate == "h"}
+            cross += sum(a.args[0].name[0] != a.args[1].name[0] for a in derived)
+            text = cov.candidate.text
+            assert covered_atoms(cov, every) == derived, text
+            assert covered_atoms(cov, some) == derived & set(some.values()), text
+            assert covers_any(cov, some) == bool(derived & set(some.values())), text
+    assert cross  # some heads join groups bound in different components
 
 
 # --------------------------------------------------------------------- solve

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hornpipe import learner
 from hornpipe.cover import CoverCache
 from hornpipe.entailment import coverage
 from hornpipe.ingestion import BundleSource, RawBundle
@@ -413,6 +414,31 @@ def test_training_correct_after_every_accepted_step():
 
     aggregate(reliable, corpus.bias, config, on_accept=spy)
     assert steps
+
+
+def test_one_verification_per_accepted_state(monkeypatch):
+    """The solver's self-check is the only fixpoint check of an accepted state."""
+    counts = {"verify": 0, "solved": 0, "accepted": 0}
+    verify, solve = learner.verify, learner.solve
+
+    def counting_verify(*args):
+        counts["verify"] += 1
+        return verify(*args)
+
+    def counting_solve(*args):
+        res = solve(*args)
+        counts["solved"] += res.ok
+        return res
+
+    def on_accept(trial, state):
+        counts["accepted"] += 1
+
+    monkeypatch.setattr(learner, "verify", counting_verify)
+    monkeypatch.setattr(learner, "solve", counting_solve)
+    config = PipelineConfig(seed=0, max_retries=5, retry_fail_threshold=0.30)
+    aggregate(_poisoned_batch(), TEST_BIAS, config, on_accept)
+    assert counts["accepted"] >= 5
+    assert counts["verify"] == counts["solved"]
 
 
 def test_config_rejects_bad_values():

@@ -9,14 +9,12 @@ from hornpipe.storage import (
     parse_meta,
     print_meta,
     read_rules,
-    read_solver_request,
     read_subset,
     split_example_lines,
     write_corpus_bias,
     write_manifest,
     write_rules,
     write_scenario,
-    write_solver_request,
     write_subset,
 )
 from test_parsing import VOCAB_BIAS
@@ -97,17 +95,6 @@ def test_scenario_round_trip(tmp_path):
     assert set(exs.negatives) == set(examples.negatives)
     assert tags == ("generated", "x")
     assert loaded[0][3] == ()
-
-
-def test_solver_request_round_trip(tmp_path):
-    bias = parse_bias(VOCAB_BIAS)
-    background = parse_facts("cross_runway(p1,r1).\nlanding_runway(p2,r1).\n")
-    examples = parse_examples("pos(collision(p1,p2)).\n", bias)
-    write_solver_request(tmp_path / "req", background, examples, bias)
-    bg2, exs2, bias2 = read_solver_request(tmp_path / "req")
-    assert bg2 == background
-    assert set(exs2.positives) == set(examples.positives)
-    assert bias2 == bias
 
 
 def test_rules_round_trip(tmp_path):
