@@ -8,9 +8,11 @@ reprints a rules file in canonical form.
 
 Pipeline settings resolve as defaults, then config file (``--config`` or
 the HORNPIPE_CONFIG environment variable; ``key = value`` lines), then
-flags.  Exit codes: 0 success, 1 empty hypothesis / nothing reliable,
-2 validation or config error, 3 I/O error, 4 internal error (a failed
-invariant check).
+flags.  ``--jobs`` fans out subset checks only; ``eval`` and ``diff`` run
+in-process and take no ``--jobs`` (passing it is a usage error, exit 2).
+
+Exit codes: 0 success, 1 empty hypothesis / nothing reliable, 2 validation
+or config error, 3 I/O error, 4 internal error (a failed invariant check).
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attempts", type=int, help="extraction attempts per bundle")
     p.add_argument("--seed", type=int, help="root seed for shuffling")
     p.add_argument("--timeout", type=float, help="per-solve timeout in seconds")
-    p.add_argument("--jobs", type=int, help="worker process cap for parallel stages")
+    p.add_argument("--jobs", type=int, help="worker processes for subset checks")
 
 
 def _load_bias(args: argparse.Namespace, corpus_bias):
@@ -172,7 +174,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     started = time.monotonic()
     rules = read_rules(Path(args.rules))
     scenarios = _scenarios_from(args.scenarios_dir)
-    report = evaluate(rules, scenarios, jobs=args.jobs or 1)
+    report = evaluate(rules, scenarios)
     elapsed = time.monotonic() - started
     summary = eval_summary(report, elapsed=elapsed)
     if args.out:
@@ -188,7 +190,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     first = read_rules(Path(args.rules))
     second = read_rules(Path(args.other))
     scenarios = _scenarios_from(args.scenarios_dir)
-    diff = diff_hypotheses(first, second, scenarios, jobs=args.jobs or 1)
+    diff = diff_hypotheses(first, second, scenarios)
     if args.out:
         write_report_lines(Path(args.out), diff_report_lines(diff))
     print(diff_summary(diff), end="")
@@ -234,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", required=True)
     p.add_argument("--scenarios-dir", required=True)
     p.add_argument("--out", help="output directory for reports")
-    p.add_argument("--jobs", type=int)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("diff", help="compare two rules files on the same scenarios")
@@ -242,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--other", required=True, help="second rules file")
     p.add_argument("--scenarios-dir", required=True)
     p.add_argument("--out", help="structured diff path")
-    p.add_argument("--jobs", type=int)
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("print-rules", help="reprint a rules file in canonical form")

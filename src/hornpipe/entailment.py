@@ -73,15 +73,12 @@ class FactStore:
             self.add(f)
 
     @staticmethod
-    def from_program(p: Program, extra_atoms: Iterable[Atom] = ()) -> "FactStore":
+    def from_program(p: Program) -> "FactStore":
         store = FactStore()
         for c in p:
             if not c.is_fact():
                 raise ValueError(f"background must contain only facts: {c}")
             store.add(atom_to_fact(c.head))
-        # extra atoms only widen the constant universe (e.g. example constants)
-        for a in extra_atoms:
-            store.constants.update(t.name for t in a.args if t.is_const())
         return store
 
     def add(self, f: Fact) -> bool:

@@ -9,7 +9,6 @@ denominator, with a flag recording that the value is degenerate.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .entailment import coverage
@@ -99,8 +98,7 @@ class EvalReport:
         return sum(1 for s in self.scenarios if s.correct)
 
 
-def _eval_scenario(args: tuple[Program, Scenario]) -> ScenarioResult:
-    hypothesis, scenario = args
+def _eval_scenario(hypothesis: Program, scenario: Scenario) -> ScenarioResult:
     cov = coverage(scenario.background, hypothesis, scenario.examples)
     verdicts = [
         Verdict(scenario.id, str(a), "pos", a in cov.covered_pos)
@@ -119,14 +117,9 @@ def _eval_scenario(args: tuple[Program, Scenario]) -> ScenarioResult:
     )
 
 
-def evaluate(hypothesis: Program, scenarios: list[Scenario], jobs: int = 1) -> EvalReport:
+def evaluate(hypothesis: Program, scenarios: list[Scenario]) -> EvalReport:
     """Score a hypothesis over scenarios; counts pool across all examples."""
-    args = [(hypothesis, s) for s in scenarios]
-    if jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_eval_scenario, args))
-    else:
-        results = [_eval_scenario(a) for a in args]
+    results = [_eval_scenario(hypothesis, s) for s in scenarios]
     counts = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
     for res in results:
         for v in res.verdicts:
@@ -161,10 +154,10 @@ class HypothesisDiff:
         return not self.disagreements
 
 
-def diff_hypotheses(first: Program, second: Program, scenarios: list[Scenario], jobs: int = 1) -> HypothesisDiff:
+def diff_hypotheses(first: Program, second: Program, scenarios: list[Scenario]) -> HypothesisDiff:
     """Per-example verdict changes between two hypotheses, plus metric deltas."""
-    a = evaluate(first, scenarios, jobs=jobs)
-    b = evaluate(second, scenarios, jobs=jobs)
+    a = evaluate(first, scenarios)
+    b = evaluate(second, scenarios)
     disagreements = tuple(
         Disagreement(va.scenario_id, va.atom, va.label, va.predicted, vb.predicted)
         for va, vb in zip(a.verdicts, b.verdicts)

@@ -28,7 +28,6 @@ class SourceRecord:
     id: str
     kind: str  # VIOLATION | NOMINAL
     timestamp: str  # ISO-8601, so lexicographic order is chronological
-    payload: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in (VIOLATION, NOMINAL):
@@ -43,15 +42,7 @@ class Extraction:
     examples_text: str
 
 
-@dataclass(frozen=True)
-class ExtractorHandle:
-    name: str
-    supports_regeneration: bool
-
-
 class Extractor(Protocol):
-    handle: ExtractorHandle
-
     def extract(self, record: SourceRecord, attempt: int) -> Extraction: ...
 
 
@@ -65,7 +56,6 @@ class FixtureExtractor:
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self.handle = ExtractorHandle(name="fixture", supports_regeneration=True)
 
     def extract(self, record: SourceRecord, attempt: int) -> Extraction:
         if attempt < 1:

@@ -31,7 +31,7 @@ from .logic import (
     ExampleSet,
     PredDecl,
     Program,
-    print_clause,
+    canonical,
     var,
 )
 
@@ -114,32 +114,25 @@ def _clauses_of_length(bias: BiasSpec, head: PredDecl, length: int) -> list[Clau
             if len(set(lits)) != len(lits):
                 continue
             try:
-                clause = Clause(head_atom, tuple(lits))
+                clause = canonical(Clause(head_atom, tuple(lits)))
             except ValueError:  # disconnected body
                 continue
-            text = print_clause(clause)
-            if text not in out:
-                out[text] = clause
-    return [out[t] for t in sorted(out)]
+            out.setdefault(str(clause), clause)
+    return list(out.values())
 
 
 def enumerate_clauses(bias: BiasSpec) -> Iterator[Clause]:
-    """The full hypothesis space for a bias, smallest bodies first."""
+    """The full hypothesis space for a bias in canonical form, smallest
+    bodies first; each clause's str() is its canonical text."""
     for length in range(1, bias.max_body + 1):
-        block: dict[str, Clause] = {}
-        for head in bias.head_decls:
-            for clause in _clauses_of_length(bias, head, length):
-                block[print_clause(clause)] = clause
-        for text in sorted(block):
-            yield block[text]
+        block = [c for head in bias.head_decls for c in _clauses_of_length(bias, head, length)]
+        yield from sorted(block, key=str)
 
 
 @lru_cache(maxsize=8)
 def candidate_list(bias: BiasSpec) -> tuple[cover.Candidate, ...]:
     """Compiled hypothesis space, cached per bias."""
-    return tuple(
-        cover.compile_candidate(c, print_clause(c)) for c in enumerate_clauses(bias)
-    )
+    return tuple(cover.compile_candidate(c, str(c)) for c in enumerate_clauses(bias))
 
 
 @dataclass(frozen=True)
@@ -154,8 +147,6 @@ class SolverRequest:
 class SolverStats:
     clauses_enumerated: int = 0
     candidates_negative_safe: int = 0
-    # wall-clock, excluded from equality so identical requests compare equal
-    elapsed: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -163,10 +154,6 @@ class SolverResult:
     outcome: str  # "hypothesis" | "no_hypothesis" | "timeout"
     hypothesis: Program | None
     stats: SolverStats = field(default_factory=SolverStats)
-
-    @property
-    def ok(self) -> bool:
-        return self.outcome == "hypothesis"
 
 
 @dataclass(frozen=True)
@@ -207,8 +194,7 @@ def solve(request: SolverRequest, cache: cover.CoverCache | None = None) -> Solv
     over overlapping backgrounds cheap; it must always be paired with the
     same bias.
     """
-    start = time.monotonic()
-    deadline = start + request.timeout
+    deadline = time.monotonic() + request.timeout
     bias = request.bias
     examples = request.examples
     examples.check_predicates(bias)
@@ -216,11 +202,7 @@ def solve(request: SolverRequest, cache: cover.CoverCache | None = None) -> Solv
     stats = SolverStats(clauses_enumerated=len(candidates))
 
     def done(outcome: str, hyp: Program | None, safe: int = 0) -> SolverResult:
-        return SolverResult(
-            outcome,
-            hyp,
-            replace(stats, candidates_negative_safe=safe, elapsed=time.monotonic() - start),
-        )
+        return SolverResult(outcome, hyp, replace(stats, candidates_negative_safe=safe))
 
     store = FactStore.from_program(request.background)
     # a negative already present as a fact can never be separated

@@ -378,10 +378,6 @@ class ExampleSet:
     def pos_set(self) -> frozenset[Atom]:
         return frozenset(self.positives)
 
-    @cached_property
-    def neg_set(self) -> frozenset[Atom]:
-        return frozenset(self.negatives)
-
     def check_predicates(self, bias: BiasSpec) -> None:
         """Every example predicate must be a declared head predicate."""
         for a in (*self.positives, *self.negatives):

@@ -163,11 +163,12 @@ def parse_facts(text: str) -> Program:
     return Program.of(facts)
 
 
-def parse_examples(text: str, bias: BiasSpec | None = None) -> ExampleSet:
+def parse_examples(text: str) -> ExampleSet:
     """Parse ``pos(atom).`` / ``neg(atom).`` lines.
 
-    With a bias in force, every example atom must use a declared head
-    predicate.  Duplicates collapse; an atom on both sides is an error.
+    Duplicates collapse; an atom on both sides is an error.  Whether the
+    example predicates are declared head predicates is for validation to
+    check against the bias.
     """
     pos: dict[Atom, None] = {}
     neg: dict[Atom, None] = {}
@@ -183,11 +184,6 @@ def parse_examples(text: str, bias: BiasSpec | None = None) -> ExampleSet:
         cur.done()
         if not inner.is_ground():
             raise ParseError(f"example must be ground: {inner}", line)
-        if bias is not None and inner.predicate not in bias.head_predicates:
-            raise ParseError(
-                f"example predicate {inner.predicate} is not a declared head predicate",
-                line,
-            )
         (pos if label == "pos" else neg).setdefault(inner)
     overlap = set(pos) & set(neg)
     if overlap:

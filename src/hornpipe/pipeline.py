@@ -3,12 +3,16 @@
 Stage 1 (validation): parse and vocabulary/type/label checks per bundle,
 with bounded re-extraction attempts.
 Stage 2 (subset checks): each valid subset must admit its own exact-fit
-hypothesis, or it is set aside as unreliable.
+hypothesis, or it is set aside as unreliable.  This is the one stage that
+fans out over worker processes (PipelineConfig.jobs); every other stage,
+and held-out evaluation, runs in-process.
 Stage 3 (aggregation): grow a global training set by re-solving from
 scratch as each subset joins; a subset that breaks solvability has its own
 examples peeled off one at a time (negatives first) before being dropped
-entirely.  If the chronological pass drops too many subsets, seeded
-shuffled passes retry, keeping the best trial.
+entirely.  A subset taken whole and one cut back advance the state on the
+same path; only the logged action and removed examples differ.  If the
+chronological pass drops too many subsets, seeded shuffled passes retry,
+keeping the best trial.
 Stage 4 (pruning): drop accepted rules whose standalone support on the
 aggregated positives falls below a fraction of the maximum support.
 
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import learner
@@ -292,31 +296,30 @@ class AggregationOutcome:
     early_stopped: bool
 
 
-def _merge_examples(state: ExampleSet, pos, neg) -> ExampleSet:
-    return ExampleSet.of((*state.positives, *pos), (*state.negatives, *neg))
-
-
 def _try_union(
     state: AggregationState,
-    subset: SubsetInstance,
+    background: Program,
     pos,
     neg,
     bias: BiasSpec,
     config: PipelineConfig,
     cache: CoverCache,
-) -> tuple[learner.SolverResult | None, Program, ExampleSet | None]:
-    """Solve the union of the state with a (possibly reduced) candidate."""
-    background = state.background.union(subset.background)
+) -> tuple[learner.SolverResult | None, ExampleSet | None]:
+    """Solve the state's examples plus a (possibly reduced) candidate's.
+
+    `background` is the state's background already unioned with the
+    candidate's, so callers union once per candidate, not once per solve.
+    """
     try:
-        examples = _merge_examples(state.examples, pos, neg)
+        examples = ExampleSet.of((*state.examples.positives, *pos), (*state.examples.negatives, *neg))
     except ValueError:
         # candidate contradicts the accepted labels outright
-        return None, background, None
+        return None, None
     res = learner.solve(
         learner.SolverRequest(background, examples, bias, timeout=config.solver_timeout),
         cache,
     )
-    return res, background, examples
+    return res, examples
 
 
 def _acceptable(res: learner.SolverResult | None) -> bool:
@@ -343,12 +346,13 @@ def retain_partial(
     neg = list(subset.examples.negatives)
     removed_pos: list[Atom] = []
     removed_neg: list[Atom] = []
+    background = state.background.union(subset.background)
     while neg or len(pos) > 1:
         if neg:
             removed_neg.append(neg.pop())
         else:
             removed_pos.append(pos.pop())
-        res, background, examples = _try_union(state, subset, pos, neg, bias, config, cache)
+        res, examples = _try_union(state, background, pos, neg, bias, config, cache)
         if _acceptable(res):
             return pos, neg, removed_pos, removed_neg, res, background, examples
     return None
@@ -420,64 +424,46 @@ def _run_trial(
     state = _empty_state()
     log: list[CandidateDecision] = []
     for subset in order:
-        pos = subset.examples.positives
-        neg = subset.examples.negatives
-        res, background, examples = _try_union(state, subset, pos, neg, bias, config, cache)
-        if _acceptable(res):
-            decision = CandidateDecision(
-                trial=trial, subset_id=subset.id, action="accepted", solver_outcome=res.outcome
-            )
-            state = _advance(state, subset, background, examples, res.hypothesis, decision, log)
-            if on_accept is not None:
-                on_accept(trial, state)
-            continue
-        reduced = retain_partial(state, subset, bias, config, cache)
-        if reduced is not None:
-            _, _, removed_pos, removed_neg, res2, background2, examples2 = reduced
-            decision = CandidateDecision(
+        background = state.background.union(subset.background)
+        pos, neg = subset.examples.positives, subset.examples.negatives
+        res, examples = _try_union(state, background, pos, neg, bias, config, cache)
+        partial = not _acceptable(res)
+        removed_pos = removed_neg = ()
+        if partial:
+            reduced = retain_partial(state, subset, bias, config, cache)
+            if reduced is None:
+                log.append(
+                    CandidateDecision(
+                        trial=trial,
+                        subset_id=subset.id,
+                        action="discarded",
+                        solver_outcome=res.outcome if res is not None else "contradiction",
+                    )
+                )
+                state = replace(state, trial_log=tuple(log))
+                continue
+            _, _, removed_pos, removed_neg, res, background, examples = reduced
+        # the solve that produced this step has verified the state
+        log.append(
+            CandidateDecision(
                 trial=trial,
                 subset_id=subset.id,
-                action="retained_partial",
-                solver_outcome=res2.outcome,
+                action="retained_partial" if partial else "accepted",
+                solver_outcome=res.outcome,
                 removed_positives=tuple(str(a) for a in removed_pos),
                 removed_negatives=tuple(str(a) for a in removed_neg),
             )
-            state = _advance(state, subset, background2, examples2, res2.hypothesis, decision, log)
-            if on_accept is not None:
-                on_accept(trial, state)
-        else:
-            log.append(
-                CandidateDecision(
-                    trial=trial,
-                    subset_id=subset.id,
-                    action="discarded",
-                    solver_outcome=res.outcome if res is not None else "contradiction",
-                )
-            )
-            state = AggregationState(
-                state.accepted_ids, state.background, state.examples, state.hypothesis, tuple(log)
-            )
+        )
+        state = AggregationState(
+            accepted_ids=(*state.accepted_ids, subset.id),
+            background=background,
+            examples=examples,
+            hypothesis=res.hypothesis,
+            trial_log=tuple(log),
+        )
+        if on_accept is not None:
+            on_accept(trial, state)
     return state
-
-
-def _advance(
-    state: AggregationState,
-    subset: SubsetInstance,
-    background: Program,
-    examples: ExampleSet,
-    hypothesis: Program,
-    decision: CandidateDecision,
-    log: list[CandidateDecision],
-) -> AggregationState:
-    """Record an accepted step; the solve that produced it has verified the state."""
-    log.append(decision)
-    return AggregationState(
-        accepted_ids=(*state.accepted_ids, subset.id),
-        background=background,
-        examples=examples,
-        hypothesis=hypothesis,
-        trial_log=tuple(log),
-    )
 
 
 # ------------------------------------------------------------------- pruning

@@ -72,14 +72,19 @@ class StoredSubset:
 
 
 def split_example_lines(text: str) -> tuple[str, str]:
-    """Split an .exs text into (positive lines, negative lines) by wrapper."""
+    """Split an .exs text into (positive lines, negative lines) by wrapper.
+
+    Every statement line that does not start with ``neg`` goes to the
+    positive side, malformed ones included, so that parsing rejects them
+    instead of the split dropping them unseen.
+    """
     pos, neg = [], []
     for line in text.splitlines():
         stripped = line.strip()
-        if stripped.startswith("pos"):
-            pos.append(line)
-        elif stripped.startswith("neg"):
+        if stripped.startswith("neg"):
             neg.append(line)
+        elif stripped and not stripped.startswith("%"):
+            pos.append(line)
     return "\n".join(pos) + "\n" if pos else "", "\n".join(neg) + "\n" if neg else ""
 
 
@@ -167,7 +172,7 @@ def load_scenario_dirs(scenarios_dir: Path) -> list[tuple[str, Program, ExampleS
     return out
 
 
-# ------------------------------------------------- solver request file bundle
+# ---------------------------------------------------------------------- rules
 
 
 def write_rules(path: Path, hypothesis: Program) -> None:

@@ -228,6 +228,17 @@ def test_unknown_flag_fails_fast(tmp_path):
     assert exc.value.code == 2
 
 
+def test_eval_and_diff_take_no_jobs_flag():
+    # evaluation runs in-process; only subset checks take --jobs
+    for argv in (
+        ["eval", "--rules", "r", "--scenarios-dir", "s", "--jobs", "2"],
+        ["diff", "--rules", "r", "--other", "o", "--scenarios-dir", "s", "--jobs", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 def test_help_lists_commands():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -245,6 +256,19 @@ def test_check_clean_corpus_all_reliable(tmp_path, capsys):
     records = [json.loads(x) for x in report.read_text(encoding="utf-8").splitlines()]
     assert records[0]["kind"] == "check"
     assert sum(1 for r in records if r["record"] == "subset_check") == 6
+
+
+def test_check_rejects_unwrapped_example_line(tmp_path, capsys):
+    corpus = _gen(tmp_path)
+    first = sorted(d for d in corpus.iterdir() if d.is_dir())[0]
+    with (first / "exs.exs").open("a", encoding="utf-8") as f:
+        f.write("goal(b,a).\n")
+    code = main(["check", "--corpus-dir", str(corpus)])
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert "validation: 5/6 bundles accepted" in stdout
+    assert f"rejected {first.name}: " in stdout
+    assert "expected pos(...) or neg(...)" in stdout
 
 
 def test_check_names_missing_predicate(tmp_path, capsys):

@@ -110,6 +110,15 @@ def test_stream_clauses_well_formed():
         assert head_args <= {v for lit in c.body for v in lit.variables()}
 
 
+def test_candidate_text_is_canonical_print():
+    vocab = parse_bias(VOCAB_BIAS.replace("max_body(4).", "max_body(2)."))
+    for bias in (SMALL_BIAS, PLANT_BIAS, vocab):
+        cands = candidate_list(bias)
+        assert cands
+        for cand in cands:
+            assert str(cand.clause) == print_clause(cand.clause) == cand.text
+
+
 def test_typed_positions_never_mix():
     bias = parse_bias(VOCAB_BIAS.replace("max_vars(6).", "max_vars(4).").replace("max_body(4).", "max_body(2)."))
     types = bias.types_by_predicate

@@ -105,14 +105,6 @@ def test_parse_examples_contradiction():
         parse_examples("pos(c(a,b)).\nneg(c(a,b)).\n")
 
 
-def test_parse_examples_enforces_head_predicate_under_bias():
-    bias = parse_bias(VOCAB_BIAS)
-    with pytest.raises(ParseError, match="head predicate"):
-        parse_examples("pos(landing_runway(a1,r1)).", bias)
-    es = parse_examples("pos(collision(a1,a2)).", bias)
-    assert len(es) == 1
-
-
 def test_parse_bias_full_vocabulary():
     bias = parse_bias(VOCAB_BIAS)
     assert len(bias.head_decls) == 1

@@ -44,6 +44,11 @@ def test_split_example_lines_keeps_wrapper_lines():
     assert pos == "pos(h(a,b)).\npos(h(a,c)).\n"
     assert neg == "neg(h(b,a)).\n"
     assert split_example_lines("") == ("", "")
+    # comments drop out; an unwrapped statement is kept for parsing to reject
+    assert split_example_lines("% note\ngoal(b,a).\nneg(h(b,a)).\n") == (
+        "goal(b,a).\n",
+        "neg(h(b,a)).\n",
+    )
 
 
 def _subset(sid: str, stamp: str) -> StoredSubset:
