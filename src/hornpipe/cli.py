@@ -59,7 +59,6 @@ _CONFIG_KEYS = {
     "retries": ("max_retries", int),
     "attempts": ("validation_attempts", int),
     "seed": ("seed", int),
-    "timeout": ("solver_timeout", float),
     "jobs": ("jobs", int),
 }
 
@@ -100,7 +99,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--retries", type=int, help="max aggregation trials, shuffles included")
     p.add_argument("--attempts", type=int, help="extraction attempts per bundle")
     p.add_argument("--seed", type=int, help="root seed for shuffling")
-    p.add_argument("--timeout", type=float, help="per-solve timeout in seconds")
     p.add_argument("--jobs", type=int, help="worker processes for subset checks")
 
 

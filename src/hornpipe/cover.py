@@ -167,11 +167,8 @@ def coverage_tables(
     """Per-candidate group-solution unions over the store's components."""
     if cache is None:
         cache = CoverCache()
-    _, groups = store.components()
     unions: dict[tuple[int, int], set] = {}
-    for facts in groups:
-        if not facts:
-            continue
+    for facts in store.components():
         view = _ComponentView(facts)
         for key, sols in cache.table(view, candidates).items():
             acc = unions.get(key)

@@ -128,8 +128,8 @@ class FactStore:
     def atoms(self) -> set[Atom]:
         return {fact_to_atom(f) for f in self.facts()}
 
-    def components(self) -> tuple[dict[str, int], list[set[Fact]]]:
-        """Constant-connected components: (constant -> index, facts per index)."""
+    def components(self) -> list[set[Fact]]:
+        """Constant-connected components, as the set of facts in each."""
         parent: dict[str, str] = {}
 
         def find(c: str) -> str:
@@ -148,18 +148,10 @@ class FactStore:
                 ra, rb = find(first), find(other)
                 if ra != rb:
                     parent[ra] = rb
-        index: dict[str, int] = {}
-        comp_of: dict[str, int] = {}
-        groups: list[set[Fact]] = []
-        for c in self.constants:
-            root = find(c)
-            if root not in index:
-                index[root] = len(groups)
-                groups.append(set())
-            comp_of[c] = index[root]
+        groups: dict[str, set[Fact]] = {}
         for f in self.facts():
-            groups[comp_of[f[1][0]]].add(f)
-        return comp_of, groups
+            groups.setdefault(find(f[1][0]), set()).add(f)
+        return list(groups.values())
 
 
 # --- rule compilation and join planning ----------------------------------------

@@ -12,12 +12,15 @@ solve() keeps the clauses that derive no negative example and at least one
 positive, then greedily picks clauses until all positives are covered.
 Ties fall to fewer body literals, then canonical text.  The result is
 re-checked against the fixpoint engine before it is returned.
+
+A solve has no deadline: the hypothesis space is finite and greedy cover
+stops at max_clauses, so every solve ends, and its outcome depends on the
+evidence alone, never on how fast the machine is.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterator
@@ -34,8 +37,6 @@ from .logic import (
     canonical,
     var,
 )
-
-DEFAULT_TIMEOUT = 10.0
 
 _VAR_NAMES = [f"V{i}" for i in range(64)]
 
@@ -136,14 +137,6 @@ def candidate_list(bias: BiasSpec) -> tuple[cover.Candidate, ...]:
 
 
 @dataclass(frozen=True)
-class SolverRequest:
-    background: Program
-    examples: ExampleSet
-    bias: BiasSpec
-    timeout: float = DEFAULT_TIMEOUT
-
-
-@dataclass(frozen=True)
 class SolverStats:
     clauses_enumerated: int = 0
     candidates_negative_safe: int = 0
@@ -151,7 +144,7 @@ class SolverStats:
 
 @dataclass(frozen=True)
 class SolverResult:
-    outcome: str  # "hypothesis" | "no_hypothesis" | "timeout"
+    outcome: str  # "hypothesis" | "no_hypothesis"
     hypothesis: Program | None
     stats: SolverStats = field(default_factory=SolverStats)
 
@@ -186,7 +179,12 @@ def _wanted_by_pred(atoms: tuple[Atom, ...]) -> dict[tuple[str, int], dict[tuple
     return out
 
 
-def solve(request: SolverRequest, cache: cover.CoverCache | None = None) -> SolverResult:
+def solve(
+    background: Program,
+    examples: ExampleSet,
+    bias: BiasSpec,
+    cache: cover.CoverCache | None = None,
+) -> SolverResult:
     """Learn a smallest-first greedy hypothesis that fits the examples exactly.
 
     Success means every positive is derivable from background plus hypothesis
@@ -194,9 +192,6 @@ def solve(request: SolverRequest, cache: cover.CoverCache | None = None) -> Solv
     over overlapping backgrounds cheap; it must always be paired with the
     same bias.
     """
-    deadline = time.monotonic() + request.timeout
-    bias = request.bias
-    examples = request.examples
     examples.check_predicates(bias)
     candidates = candidate_list(bias)
     stats = SolverStats(clauses_enumerated=len(candidates))
@@ -204,7 +199,7 @@ def solve(request: SolverRequest, cache: cover.CoverCache | None = None) -> Solv
     def done(outcome: str, hyp: Program | None, safe: int = 0) -> SolverResult:
         return SolverResult(outcome, hyp, replace(stats, candidates_negative_safe=safe))
 
-    store = FactStore.from_program(request.background)
+    store = FactStore.from_program(background)
     # a negative already present as a fact can never be separated
     if any(store.has_atom(n) for n in examples.negatives):
         return done("no_hypothesis", None)
@@ -219,9 +214,7 @@ def solve(request: SolverRequest, cache: cover.CoverCache | None = None) -> Solv
     tables = cover.coverage_tables(list(candidates), store, cache)
     usable: list[tuple[cover.Candidate, frozenset[Atom]]] = []
     safe = 0
-    for i, cov in enumerate(tables):
-        if i % 256 == 0 and time.monotonic() > deadline:
-            return done("timeout", None, safe)
+    for cov in tables:
         key = (cov.candidate.clause.head.predicate, cov.candidate.head_arity)
         if cover.covers_any(cov, wanted_neg.get(key, empty)):
             continue
@@ -232,8 +225,6 @@ def solve(request: SolverRequest, cache: cover.CoverCache | None = None) -> Solv
 
     chosen: list[Clause] = []
     while uncovered:
-        if time.monotonic() > deadline:
-            return done("timeout", None, safe)
         if len(chosen) >= bias.max_clauses:
             return done("no_hypothesis", None, safe)
         best = None
@@ -251,7 +242,7 @@ def solve(request: SolverRequest, cache: cover.CoverCache | None = None) -> Solv
         uncovered -= best[1]
 
     hypothesis = Program.of(chosen)
-    check = verify(request.background, hypothesis, examples)
+    check = verify(background, hypothesis, examples)
     if check.status != "consistent":
         raise RuntimeError(
             f"solver self-check failed ({check.status}) for hypothesis:\n{hypothesis}"

@@ -11,6 +11,7 @@ forms a single component).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -164,6 +165,17 @@ def _arg_key(t: Term, renaming: dict[Term, int]):
     return (1, 0, t.name)
 
 
+def _state(remaining: tuple[Atom, ...], renaming: dict[Term, int], once: set[Term]) -> tuple:
+    """The unplaced literals as a sorted multiset.  An argument is written
+    as its index if placed, as a wildcard if it is a variable used once in
+    the clause outside the head, and as itself otherwise."""
+
+    def arg(t: Term) -> tuple:
+        return (0, renaming[t]) if t in renaming else (1,) if t in once else (2, t.kind, t.name)
+
+    return tuple(sorted((lit.predicate, tuple(map(arg, lit.args))) for lit in remaining))
+
+
 def canonical(clause: Clause) -> Clause:
     """Rewrite a clause into canonical form.
 
@@ -177,6 +189,9 @@ def canonical(clause: Clause) -> Clause:
     depends only on the literals placed before it, so the least sequence
     starts with the least key any literal can take next; the search keeps
     every partial order that reaches that key (ties) and extends only those.
+    Tied partial orders whose unplaced literals read the same (see
+    ``_state``) have the same futures, so only one of them is kept; that
+    keeps bodies of interchangeable literals from taking factorial time.
     """
     if not clause.body:
         return clause
@@ -190,6 +205,7 @@ def canonical(clause: Clause) -> Clause:
     for v in clause.head.variables():
         head_vars.setdefault(v, len(head_vars))
 
+    once: set[Term] | None = None  # single-use body variables, built at the first tie
     # partial orders tied for the least key prefix: (order, remaining, renaming)
     frontier = [((), tuple(body), head_vars)]
     for _ in body:
@@ -203,6 +219,11 @@ def canonical(clause: Clause) -> Clause:
                 options.append((key, order + (lit,), remaining[:i] + remaining[i + 1 :], ext))
         least = min(o[0] for o in options)
         frontier = [o[1:] for o in options if o[0] == least]
+        if len(frontier) > 1:
+            if once is None:
+                counts = Counter(v for lit in body for v in lit.variables())
+                once = {v for v, n in counts.items() if n == 1 and v not in head_vars}
+            frontier = list({_state(f[1], f[2], once): f for f in frontier}.values())
     # every survivor has the same key sequence, hence the same renamed body
     best, _, best_map = frontier[0]
 

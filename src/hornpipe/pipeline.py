@@ -21,6 +21,10 @@ self-check confirms, with the fixpoint engine, that the hypothesis entails
 all aggregated positives and no aggregated negatives before the solve
 returns it.  Pruning is then re-checked to keep the hypothesis
 negative-safe.  Both checks raise rather than degrade.
+
+Solves have no deadline, so every accept, cut-back and drop is a function
+of the bundles, the bias and the config alone, and a rerun on any machine
+writes the same report.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ class PipelineConfig:
     max_retries: int = DEFAULT_MAX_RETRIES  # aggregation trials, shuffles included
     validation_attempts: int = DEFAULT_VALIDATION_ATTEMPTS
     seed: int = 0
-    solver_timeout: float = learner.DEFAULT_TIMEOUT
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -61,8 +64,6 @@ class PipelineConfig:
         for name in ("max_retries", "validation_attempts", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.solver_timeout <= 0:
-            raise ValueError("solver_timeout must be positive")
 
 
 @dataclass(frozen=True)
@@ -218,8 +219,9 @@ class SubsetCheck:
 
 
 def _solve_subset(args) -> learner.SolverResult:
-    background, examples, bias, timeout = args
-    return learner.solve(learner.SolverRequest(background, examples, bias, timeout=timeout))
+    # module-level, so the pool pickles it by name; learner.solve is looked
+    # up per call, so a wrapper installed on it also runs in workers
+    return learner.solve(*args)
 
 
 def check_subsets(
@@ -230,7 +232,7 @@ def check_subsets(
     Order is preserved; work is independent per subset, so it fans out over
     config.jobs processes when asked.
     """
-    args = [(s.background, s.examples, bias, config.solver_timeout) for s in subsets]
+    args = [(s.background, s.examples, bias) for s in subsets]
     if config.jobs > 1 and len(subsets) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(_solve_subset, args))
@@ -302,7 +304,6 @@ def _try_union(
     pos,
     neg,
     bias: BiasSpec,
-    config: PipelineConfig,
     cache: CoverCache,
 ) -> tuple[learner.SolverResult | None, ExampleSet | None]:
     """Solve the state's examples plus a (possibly reduced) candidate's.
@@ -315,10 +316,7 @@ def _try_union(
     except ValueError:
         # candidate contradicts the accepted labels outright
         return None, None
-    res = learner.solve(
-        learner.SolverRequest(background, examples, bias, timeout=config.solver_timeout),
-        cache,
-    )
+    res = learner.solve(background, examples, bias, cache)
     return res, examples
 
 
@@ -330,7 +328,6 @@ def retain_partial(
     state: AggregationState,
     subset: SubsetInstance,
     bias: BiasSpec,
-    config: PipelineConfig,
     cache: CoverCache | None = None,
 ):
     """Peel examples off a failed candidate until the union solves again.
@@ -352,7 +349,7 @@ def retain_partial(
             removed_neg.append(neg.pop())
         else:
             removed_pos.append(pos.pop())
-        res, examples = _try_union(state, background, pos, neg, bias, config, cache)
+        res, examples = _try_union(state, background, pos, neg, bias, cache)
         if _acceptable(res):
             return pos, neg, removed_pos, removed_neg, res, background, examples
     return None
@@ -421,16 +418,18 @@ def _run_trial(
     cache: CoverCache,
     on_accept,
 ) -> AggregationState:
+    # config is not read; tests/test_acceptance.py drives trials through
+    # this signature, so it stays
     state = _empty_state()
     log: list[CandidateDecision] = []
     for subset in order:
         background = state.background.union(subset.background)
         pos, neg = subset.examples.positives, subset.examples.negatives
-        res, examples = _try_union(state, background, pos, neg, bias, config, cache)
+        res, examples = _try_union(state, background, pos, neg, bias, cache)
         partial = not _acceptable(res)
         removed_pos = removed_neg = ()
         if partial:
-            reduced = retain_partial(state, subset, bias, config, cache)
+            reduced = retain_partial(state, subset, bias, cache)
             if reduced is None:
                 log.append(
                     CandidateDecision(

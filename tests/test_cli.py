@@ -239,6 +239,23 @@ def test_eval_and_diff_take_no_jobs_flag():
         assert exc.value.code == 2
 
 
+def test_learn_takes_no_timeout(tmp_path, capsys):
+    # solves have no deadline, so neither the flag nor the config key exists
+    corpus = _gen(tmp_path)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["learn", "--corpus-dir", str(corpus), "--out", str(out), "--timeout", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    cfg = tmp_path / "timeout.cfg"
+    cfg.write_text("timeout = 5\n", encoding="utf-8")
+    code = main(["learn", "--corpus-dir", str(corpus), "--out", str(out), "--config", str(cfg)])
+    assert code == 2
+    assert "unknown config key 'timeout'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_lists_commands():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

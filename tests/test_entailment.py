@@ -59,12 +59,15 @@ def test_factstore_index_any_position_stays_current():
 def test_factstore_components():
     p = prog("p(a,b).", "p(c,d).", "q(e).")
     store = FactStore.from_program(p)
-    comp_of, groups = store.components()
-    assert comp_of["a"] == comp_of["b"]
-    assert comp_of["c"] == comp_of["d"]
-    assert len({comp_of["a"], comp_of["c"], comp_of["e"]}) == 3
-    sizes = sorted(len(g) for g in groups)
-    assert sizes == [1, 1, 1]
+    groups = store.components()
+    assert sorted(map(sorted, groups)) == [
+        [("p", ("a", "b"))],
+        [("p", ("c", "d"))],
+        [("q", ("e",))],
+    ]
+    # facts sharing a constant land in one component
+    store.add(("r", ("b", "c")))
+    assert sorted(len(g) for g in store.components()) == [1, 3]
 
 
 # --- consequences ----------------------------------------------------------------

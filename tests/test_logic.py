@@ -205,13 +205,42 @@ def test_canonical_idempotent_and_matches_oracle():
         assert canonical(c1) == canonical(canonical(c1))
 
 
+def random_interchangeable_clause(rng: random.Random) -> Clause:
+    """Up to 6 literals over two predicates, each holding the head variable
+    X and one term from a small pool, so some variables are shared and
+    nearly every literal ties with the others at every position."""
+    pool = [Term("var", f"Y{i}") for i in range(rng.randint(1, 6))] + [const("k")]
+    x = Term("var", "X")
+    body = []
+    for _ in range(rng.randint(1, 6)):
+        y = rng.choice(pool)
+        args = (x, y) if rng.random() < 0.75 else (y, x)
+        body.append(Atom(rng.choice("ppq"), args))
+    tail = rng.choice([t for lit in body for t in lit.args if t.is_var()])
+    return Clause(Atom("h", (x, tail) if rng.random() < 0.3 else (x,)), tuple(body))
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.integers(min_value=0, max_value=2**32))
 def test_canonical_matches_brute_force_form(seed):
-    """Up to 6 body literals over 4 predicates, so tied keys are common."""
+    """Up to 6 body literals over 4 predicates, so tied keys are common, and
+    a body of interchangeable literals, where nearly all of them tie."""
     rng = random.Random(seed)
-    c = random_clause(rng, max_body=6, max_vars=rng.randint(2, 6))
-    assert canonical(c) == brute_force_canonical(c)
+    for c in (
+        random_clause(rng, max_body=6, max_vars=rng.randint(2, 6)),
+        random_interchangeable_clause(rng),
+    ):
+        assert canonical(c) == brute_force_canonical(c)
+
+
+def test_canonical_keeps_tied_orders_whose_futures_differ():
+    # after either p literal, the unplaced literals have the same shape, but
+    # which of r and s hangs off V1 depends on the choice: only one is least
+    c = parse_clause("h(X):- p(X,Y),p(X,Z),q(Y,W),r(W),q(Z,V),s(V).")
+    want = brute_force_canonical(c)
+    assert str(want) == "h(V0):- p(V0,V1),p(V0,V2),q(V1,V3),q(V2,V4),r(V3),s(V4)."
+    for body in permutations(c.body):
+        assert canonical(Clause(c.head, body)) == want
 
 
 def test_canonical_long_chain_rule_is_fast():
@@ -220,6 +249,14 @@ def test_canonical_long_chain_rule_is_fast():
     rules = parse_rules(f"h(X0,X10):- {lits}.\n")
     assert time.perf_counter() - start < 1.0
     assert len(rules) == 1
+
+
+def test_canonical_interchangeable_body_is_fast():
+    lits = ",".join(f"p(X,Y{i})" for i in range(10))
+    start = time.perf_counter()
+    rules = parse_rules(f"h(X):- {lits}.\n")
+    assert time.perf_counter() - start < 1.0
+    assert print_program(rules) == "h(V0):- " + ",".join(f"p(V0,V{i})" for i in range(1, 11)) + ".\n"
 
 
 def test_canonical_invariant_under_renaming_and_reordering():

@@ -280,7 +280,7 @@ def test_retain_partial_peels_contradicting_positive():
     ).best
     # second positive contradicts the accepted negative label for goal(b,a)
     b = _subset("b", "2024-01-02", "q(c,d).\n", "pos(goal(c,d)).\npos(goal(b,a)).\n")
-    reduced = retain_partial(state_a, b, TEST_BIAS, PipelineConfig())
+    reduced = retain_partial(state_a, b, TEST_BIAS)
     assert reduced is not None
     kept_pos, kept_neg, removed_pos, removed_neg, res, background, examples = reduced
     assert [str(a) for a in kept_pos] == ["goal(c,d)"]
@@ -450,5 +450,3 @@ def test_config_rejects_bad_values():
         PipelineConfig(max_retries=0)
     with pytest.raises(ValueError):
         PipelineConfig(jobs=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(solver_timeout=0.0)
