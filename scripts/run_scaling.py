@@ -3,13 +3,16 @@
 For every (size, seed) cell: plant the rule set into a corrupted corpus, run
 the full pipeline, and score the final hypothesis on freshly generated
 scenarios.  The table shows how the pruned rule set stays small and precise
-while the raw (pre-prune) hypothesis grows with corpus size.
+while the raw (pre-prune) hypothesis grows with corpus size.  It also shows
+the median seconds per size and the scaling exponent between consecutive
+sizes, log(t2/t1)/log(n2/n1), over those medians.
 
   python scripts/run_scaling.py --sizes 5,15,30,60 --seeds 10
 """
 
 import argparse
 import csv
+import math
 import statistics
 import sys
 import time
@@ -71,15 +74,22 @@ def main(argv=None) -> int:
             )
 
     print()
-    print("size  med-F1  min-prec  med-recall  med-pre-prune  med-final")
+    print("size  med-F1  min-prec  med-recall  med-pre-prune  med-final   med-s  exponent")
+    prev = None
     for size in sizes:
         cells = [r for r in rows if r["size"] == size]
+        secs = statistics.median(c["seconds"] for c in cells)
+        exponent = "-"
+        if prev is not None and prev[1] > 0 and secs > 0:
+            exponent = f"{math.log(secs / prev[1]) / math.log(size / prev[0]):.2f}"
+        prev = (size, secs)
         print(
             f"{size:4d}  {statistics.median(c['f1'] for c in cells):6.3f}"
             f"  {min(c['precision'] for c in cells):8.3f}"
             f"  {statistics.median(c['recall'] for c in cells):10.3f}"
             f"  {statistics.median(c['pre_prune_rules'] for c in cells):13.1f}"
             f"  {statistics.median(c['final_rules'] for c in cells):9.1f}"
+            f"  {secs:6.2f}  {exponent:>8}"
         )
 
     if args.csv:

@@ -13,14 +13,19 @@ unioned over components, and example coverage reduces to set lookups.
 Results are exact: equivalence with the fixpoint engine and with an
 exhaustive oracle is property-tested.
 
-The cache is keyed by component content, so repeated solver calls over a
-growing background (the aggregation loop) reuse every unchanged component.
+The cache is keyed by component content and then by group content, a text
+of the group's rule that is the same under any renaming of its variables.
+Candidates that share a group therefore share its solutions, each group is
+solved once per component, and one cache serves any candidate list.
+Repeated solver calls over a growing background (the aggregation loop)
+reuse every unchanged component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .entailment import CompiledRule, Fact, FactStore, fire
 from .logic import Atom, Clause
@@ -31,6 +36,7 @@ class Group:
     head_slots: tuple[int, ...]  # head-arg indices this group binds, ascending
     preds: frozenset[str]
     rule: Clause  # head: the head variables at head_slots; body: the group's literals
+    key: str  # the rule's content up to renaming: head arity, then numbered literals
 
     @cached_property
     def compiled(self) -> CompiledRule:
@@ -93,11 +99,20 @@ def compile_candidate(clause: Clause, text: str) -> Candidate:
         if not slots:
             # connectedness guarantees every group touches the head
             raise ValueError(f"group without head variables in {clause}")
+        # the group rule's head variables are numbered by position, the others
+        # by first occurrence; the arity prefix keeps h(V0):- p(V0,V1) and
+        # h(V0,V1):- p(V0,V1) apart
+        num = {head_vars[s]: i for i, s in enumerate(slots)}
+        body = ",".join(
+            f"{lit.predicate}({','.join(str(num.setdefault(v, len(num))) for v in lit.args)})"
+            for lit in lits
+        )
         groups.append(
             Group(
                 head_slots=slots,
                 preds=frozenset(lit.predicate for lit in lits),
                 rule=Clause(Atom(head.predicate, tuple(head_vars[s] for s in slots)), tuple(lits)),
+                key=f"{len(slots)}:{body}",
             )
         )
     groups.sort(key=lambda g: g.head_slots)
@@ -115,32 +130,23 @@ class _ComponentView:
 
 
 class CoverCache:
-    """Per-component solution tables, shared across solver calls.
-
-    Bound to one candidate list: entries are keyed by candidate index, so a
-    cache must never be reused with a different bias.
-    """
+    """Per-component group solutions, shared across solver calls."""
 
     def __init__(self) -> None:
-        self.tables: dict[frozenset[Fact], dict[tuple[int, int], frozenset]] = {}
+        self.tables: dict[frozenset[Fact], dict[str, frozenset]] = {}
 
-    def table(
-        self, view: _ComponentView, candidates: list[Candidate]
-    ) -> dict[tuple[int, int], frozenset]:
-        cached = self.tables.get(view.key)
-        if cached is not None:
-            return cached
-        store = FactStore(view.key)
-        table: dict[tuple[int, int], frozenset] = {}
-        for ci, cand in enumerate(candidates):
-            for gi, group in enumerate(cand.groups):
-                if not group.preds <= view.preds:
-                    continue
-                heads: set[Fact] = set()
-                fire(group.compiled, store, heads)
-                if heads:
-                    table[(ci, gi)] = frozenset(args for _, args in heads)
-        self.tables[view.key] = table
+    def table(self, view: _ComponentView, groups: Iterable[Group]) -> dict[str, frozenset]:
+        """The component's solutions by group key, firing the groups it lacks."""
+        table = self.tables.setdefault(view.key, {})
+        store = None
+        for group in groups:
+            if group.key in table or not group.preds <= view.preds:
+                continue
+            if store is None:
+                store = FactStore(view.key)
+            heads: set[Fact] = set()
+            fire(group.compiled, store, heads)
+            table[group.key] = frozenset(args for _, args in heads)
         return table
 
 
@@ -167,24 +173,16 @@ def coverage_tables(
     """Per-candidate group-solution unions over the store's components."""
     if cache is None:
         cache = CoverCache()
-    unions: dict[tuple[int, int], set] = {}
+    groups = {g.key: g for cand in candidates for g in cand.groups}
+    unions: dict[str, set] = {key: set() for key in groups}
     for facts in store.components():
-        view = _ComponentView(facts)
-        for key, sols in cache.table(view, candidates).items():
-            acc = unions.get(key)
-            if acc is None:
-                unions[key] = set(sols)
-            else:
-                acc.update(sols)
-    out = []
-    for ci, cand in enumerate(candidates):
-        out.append(
-            CandidateCoverage(
-                candidate=cand,
-                group_unions=[unions.get((ci, gi), set()) for gi in range(len(cand.groups))],
-            )
-        )
-    return out
+        for key, sols in cache.table(_ComponentView(facts), groups.values()).items():
+            if key in unions:
+                unions[key].update(sols)
+    return [
+        CandidateCoverage(candidate=cand, group_unions=[unions[g.key] for g in cand.groups])
+        for cand in candidates
+    ]
 
 
 def covered_atoms(cov: CandidateCoverage, wanted: dict[tuple[str, ...], Atom]) -> set[Atom]:

@@ -189,8 +189,7 @@ def solve(
 
     Success means every positive is derivable from background plus hypothesis
     and no negative is.  An externally supplied cache makes repeated calls
-    over overlapping backgrounds cheap; it must always be paired with the
-    same bias.
+    over overlapping backgrounds cheap.
     """
     examples.check_predicates(bias)
     candidates = candidate_list(bias)

@@ -74,8 +74,6 @@ class SubsetInstance:
     timestamp: str
     background: Program
     examples: ExampleSet
-    violation_source: str = ""
-    nominal_source: str = ""
 
 
 @dataclass(frozen=True)
@@ -170,8 +168,6 @@ def _check_bundle(bundle: RawBundle, bias: BiasSpec) -> tuple[SubsetInstance | N
             timestamp=bundle.timestamp,
             background=Program.of(facts),
             examples=examples,
-            violation_source=bundle.violation_id,
-            nominal_source=bundle.nominal_id,
         ),
         [],
     )

@@ -453,7 +453,8 @@ def generate_scenarios(rules: Program, n_scenarios: int, seed: int):
 
     Returns (id, background, examples, tags) tuples.  Every positive comes
     from a fresh rule instantiation; negatives are the scene's other agent
-    pairs plus a decoupled pattern's pairs.
+    pairs plus a decoupled pattern's pairs.  ``seed`` does not yet vary the
+    scenes: every seed returns the same worlds with the same constants.
     """
     rules_list = rules.rules()
     if not rules_list:

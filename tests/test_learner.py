@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from hornpipe import cover
 from hornpipe.cover import (
     CoverCache,
     compile_candidate,
@@ -160,6 +161,32 @@ def test_cover_cache_reused_across_stores():
     assert len(cache.tables) == n1 + 1
 
 
+def test_shared_group_fires_once_per_component(monkeypatch):
+    """Candidates that share a body group share its solutions: the group
+    fires once per component, not once per candidate that carries it."""
+    fired = []
+    real_fire = cover.fire
+
+    def counting_fire(rule, store, out):
+        fired.append(rule)
+        return real_fire(rule, store, out)
+
+    monkeypatch.setattr(cover, "fire", counting_fire)
+    candidates = [
+        compile_candidate(c, print_clause(c)) for c in enumerate_clauses(SMALL_BIAS)
+    ]
+    store = FactStore.from_program(parse_facts("p(a,b).\np(b,c).\nr(c).\n"))
+    assert len(store.components()) == 1
+    slots = [g.rule for c in candidates for g in c.groups if g.preds <= {"p", "r"}]
+    distinct = {canonical(rule) for rule in slots}
+    assert len(distinct) < len(slots)
+    cache = CoverCache()
+    coverage_tables(candidates, store, cache)
+    assert len(fired) == len(distinct)
+    coverage_tables(candidates, store, cache)
+    assert len(fired) == len(distinct)
+
+
 def random_solver_instance(rng: random.Random) -> tuple[Program, ExampleSet]:
     consts = [f"c{i}" for i in range(rng.randint(3, 5))]
     facts: list[Atom] = []
@@ -303,6 +330,28 @@ def test_solve_ignores_the_clock(monkeypatch):
     res = solve(plant_background(), plant_examples(), PLANT_BIAS)
     assert res.outcome == "hypothesis"
     assert res.hypothesis == Program.of([parse_clause(RULE_CROSS_LANDING)])
+
+
+def test_cover_cache_shared_across_biases():
+    """A cache holds facts about (component, group) pairs, so one cache
+    passed through solves under different biases gives each the verdict a
+    fresh cache gives."""
+    background = parse_facts("p(a,c).\nr(b,a).\n")
+    pair = parse_examples("pos(h(a,b)).\nneg(h(b,a)).\n")
+    cases = [
+        (parse_bias("head_pred(h,2).\nbody_pred(p,2).\nmax_vars(2).\nmax_body(1).\n"), pair),
+        (parse_bias("head_pred(h,2).\nbody_pred(r,2).\nmax_vars(2).\nmax_body(1).\n"), pair),
+        (
+            parse_bias("head_pred(g,1).\nbody_pred(p,2).\nmax_vars(2).\nmax_body(1).\n"),
+            parse_examples("pos(g(a)).\nneg(g(c)).\n"),
+        ),
+    ]
+    fresh = [solve(background, ex, bias) for bias, ex in cases]
+    assert fresh[1].hypothesis == Program.of([parse_clause("h(V0,V1):- r(V1,V0).")])
+    assert fresh[2].hypothesis == Program.of([parse_clause("g(V0):- p(V0,V1).")])
+    for order, want in ((cases, fresh), (cases[::-1], fresh[::-1])):
+        cache = CoverCache()
+        assert [solve(background, ex, bias, cache) for bias, ex in order] == want
 
 
 def test_solve_deterministic():
