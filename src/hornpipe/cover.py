@@ -9,9 +9,15 @@ group binds, with the group's literals as its body.  Its solutions in a
 component (projections of its matches onto those head variables) are the
 heads that rule derives when ``entailment.fire`` runs it once over the
 component, through the same planned join as the fixpoint engine.  They are
-unioned over components, and example coverage reduces to set lookups.
-Results are exact: equivalence with the fixpoint engine and with an
-exhaustive oracle is property-tested.
+unioned over components.
+
+Examples are scored once per distinct group projection per solve, not once
+per candidate.  A WantedSet holds one head predicate's negatives (or
+positives) and memoises, for each distinct ``(head_slots, key)``, a bitmask
+of the atoms that group's solutions reach.  A candidate covers a negative
+exactly when the AND of its groups' masks is non-zero, and its covered
+positives are the set bits of that AND.  Results are exact: equivalence
+with the fixpoint engine and with exhaustive oracles is property-tested.
 
 The cache is keyed by component content and then by group content, a text
 of the group's rule that is the same under any renaming of its variables.
@@ -160,17 +166,15 @@ class CandidateCoverage:
     def complete(self) -> bool:
         return all(self.group_unions)
 
-    def covers(self, args: tuple[str, ...]) -> bool:
-        for group, union in zip(self.candidate.groups, self.group_unions):
-            if tuple(args[s] for s in group.head_slots) not in union:
-                return False
-        return True
-
 
 def coverage_tables(
     candidates: list[Candidate], store: FactStore, cache: CoverCache | None = None
 ) -> list[CandidateCoverage]:
-    """Per-candidate group-solution unions over the store's components."""
+    """Per-candidate group-solution unions over the store's components.
+
+    Candidates that share a group key share one union object, which is what
+    lets a WantedSet score that group once for all of them.
+    """
     if cache is None:
         cache = CoverCache()
     groups = {g.key: g for cand in candidates for g in cand.groups}
@@ -185,30 +189,83 @@ def coverage_tables(
     ]
 
 
-def covered_atoms(cov: CandidateCoverage, wanted: dict[tuple[str, ...], Atom]) -> set[Atom]:
-    """Which of the wanted ground atoms (args -> atom) the candidate covers.
+class WantedSet:
+    """One head predicate's wanted ground atoms in a fixed order, with a
+    memoised hit mask per body group.
 
-    Enumerates whichever side is smaller: the candidate's own derivations
-    (single-group case) or the wanted list.
+    Bit i of a group's mask is set when atom i's arguments at the group's
+    head slots are among the group's solutions.  A candidate derives atom i
+    exactly when bit i is set in every one of its groups' masks, so a
+    candidate's verdict is the AND of masks computed once per distinct
+    ``(head_slots, key)``.  The slots belong in the memo key because a group
+    key omits them: ``h(X,Y):- p(X)`` and ``h(X,Y):- p(Y)`` share the key of
+    ``p``'s group.  A mask is reused only for the very union object it was
+    computed from, so a wanted set handed tables from another store
+    recomputes rather than answers for the wrong one.
     """
-    if not cov.complete():
-        return set()
-    groups = cov.candidate.groups
-    if len(groups) == 1 and len(groups[0].head_slots) == cov.candidate.head_arity:
-        sols = cov.group_unions[0]
-        if len(sols) <= len(wanted):
-            return {wanted[s] for s in sols if s in wanted}
-    return {a for args, a in wanted.items() if cov.covers(args)}
+
+    def __init__(self, atoms: Iterable[Atom]):
+        self.atoms = tuple(atoms)
+        self._args = [tuple(t.name for t in a.args) for a in self.atoms]
+        self._projections: dict[tuple[int, ...], dict[tuple[str, ...], int]] = {}
+        self._masks: dict[tuple[tuple[int, ...], str], tuple[set, int]] = {}
+
+    def __len__(self) -> int:
+        return len(self.atoms)
+
+    def mask(self, group: Group, union: set) -> int:
+        """The wanted atoms the group's solutions ``union`` reach, as a bitmask."""
+        memo_key = (group.head_slots, group.key)
+        memo = self._masks.get(memo_key)
+        if memo is None or memo[0] is not union:
+            memo = self._masks[memo_key] = (union, self._hits(group.head_slots, union))
+        return memo[1]
+
+    def _hits(self, slots: tuple[int, ...], union: set) -> int:
+        proj = self._projections.get(slots)
+        if proj is None:
+            proj = self._projections[slots] = {}
+            for i, args in enumerate(self._args):
+                key = tuple(args[s] for s in slots)
+                proj[key] = proj.get(key, 0) | 1 << i
+        # walk whichever side is smaller: the group's solutions or the
+        # distinct projections of the wanted atoms
+        out = 0
+        if len(union) < len(proj):
+            for sol in union:
+                out |= proj.get(sol, 0)
+        else:
+            for key, bits in proj.items():
+                if key in union:
+                    out |= bits
+        return out
+
+    def atoms_of(self, mask: int) -> set[Atom]:
+        out = set()
+        while mask:
+            low = mask & -mask
+            out.add(self.atoms[low.bit_length() - 1])
+            mask ^= low
+        return out
 
 
-def covers_any(cov: CandidateCoverage, wanted: dict[tuple[str, ...], Atom]) -> bool:
-    """Short-circuit variant of covered_atoms for the negative-safety check."""
-    if not cov.complete():
-        return False
-    groups = cov.candidate.groups
-    if len(groups) == 1 and len(groups[0].head_slots) == cov.candidate.head_arity:
-        sols = cov.group_unions[0]
-        if len(sols) <= len(wanted):
-            return any(s in wanted for s in sols)
-        return any(args in sols for args in wanted)
-    return any(cov.covers(args) for args in wanted)
+def _hit_mask(cov: CandidateCoverage, wanted: WantedSet) -> int:
+    """The wanted atoms the candidate derives: the AND of its groups' masks."""
+    if not wanted or not cov.complete():
+        return 0
+    out = (1 << len(wanted)) - 1
+    # no early exit when the AND reaches zero: a mask is computed once per
+    # solve either way, and taking them all keeps that count exact
+    for group, union in zip(cov.candidate.groups, cov.group_unions):
+        out &= wanted.mask(group, union)
+    return out
+
+
+def covered_atoms(cov: CandidateCoverage, wanted: WantedSet) -> set[Atom]:
+    """Which of the wanted ground atoms the candidate covers."""
+    return wanted.atoms_of(_hit_mask(cov, wanted))
+
+
+def covers_any(cov: CandidateCoverage, wanted: WantedSet) -> bool:
+    """Whether the candidate covers any wanted atom: the negative-safety check."""
+    return _hit_mask(cov, wanted) != 0

@@ -170,13 +170,11 @@ def verify(background: Program, hypothesis: Program, examples: ExampleSet) -> Ve
     return Verification(status=status, missed_positives=missed, covered_negatives=bad)
 
 
-def _wanted_by_pred(atoms: tuple[Atom, ...]) -> dict[tuple[str, int], dict[tuple[str, ...], Atom]]:
-    out: dict[tuple[str, int], dict[tuple[str, ...], Atom]] = {}
+def _wanted_by_pred(atoms: tuple[Atom, ...]) -> dict[tuple[str, int], cover.WantedSet]:
+    by_pred: dict[tuple[str, int], list[Atom]] = {}
     for a in atoms:
-        out.setdefault((a.predicate, a.arity), {})[
-            tuple(t.name for t in a.args)
-        ] = a
-    return out
+        by_pred.setdefault((a.predicate, a.arity), []).append(a)
+    return {key: cover.WantedSet(group) for key, group in by_pred.items()}
 
 
 def solve(
@@ -208,7 +206,7 @@ def solve(
 
     wanted_pos = _wanted_by_pred(tuple(sorted(uncovered, key=str)))
     wanted_neg = _wanted_by_pred(examples.negatives)
-    empty: dict[tuple[str, ...], Atom] = {}
+    empty = cover.WantedSet(())
 
     tables = cover.coverage_tables(list(candidates), store, cache)
     usable: list[tuple[cover.Candidate, frozenset[Atom]]] = []

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's engine internals: the model oracle
 enumerates every ground substitution over the observed constants and
-iterates to fixpoint, and the instance generator uses only the public
-clause types.
+iterates to fixpoint, the greedy-cover oracle scores one candidate at a
+time against every example the same way, and the instance generator uses
+only the public clause types.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from hornpipe.logic import Atom, Clause, Program, Term, const
+from hornpipe.logic import Atom, Clause, ExampleSet, Program, Term, const
 
 
 def naive_consequences(background: Program, hypothesis: Program) -> set[Atom]:
@@ -32,12 +33,6 @@ def naive_consequences(background: Program, hypothesis: Program) -> set[Atom]:
             constants.update(t.name for t in lit.args if t.is_const())
     consts = sorted(constants)
 
-    def substitute(a: Atom, env: dict[Term, str]) -> Atom:
-        return Atom(
-            a.predicate,
-            tuple(const(env[t]) if t.is_var() else t for t in a.args),
-        )
-
     changed = True
     while changed:
         changed = False
@@ -45,12 +40,68 @@ def naive_consequences(background: Program, hypothesis: Program) -> set[Atom]:
             vs = c.variables()
             for combo in product(consts, repeat=len(vs)):
                 env = dict(zip(vs, combo))
-                if all(substitute(b, env) in facts for b in c.body):
-                    h = substitute(c.head, env)
+                if all(_ground(b, env) in facts for b in c.body):
+                    h = _ground(c.head, env)
                     if h not in facts:
                         facts.add(h)
                         changed = True
     return facts
+
+
+def greedy_cover(
+    background: Program, examples: ExampleSet, clauses: list[Clause], max_clauses: int
+) -> tuple[str, Program | None, int]:
+    """The solver's specification, by an exhaustive per-candidate scan.
+
+    ``clauses`` is the hypothesis space in canonical form with head
+    predicates kept out of bodies, so one pass of ground substitutions
+    gives each clause's derivations.  A clause that derives any negative is
+    unsafe; greedy cover then picks by most newly covered positives, then
+    fewer body literals, then text, up to ``max_clauses`` clauses.  Returns
+    the outcome, the hypothesis and the number of negative-safe clauses,
+    as ``learner.solve`` reports them.
+    """
+    facts = {c.head for c in background}
+    if any(n in facts for n in examples.negatives):
+        return "no_hypothesis", None, 0
+    uncovered = {p for p in examples.positives if p not in facts}
+    if not uncovered:
+        return "hypothesis", Program.of(()), 0
+    negatives = set(examples.negatives)
+    consts = sorted({t.name for a in facts for t in a.args})
+
+    usable: list[tuple[Clause, set[Atom]]] = []
+    safe = 0
+    for c in clauses:
+        vs = c.variables()
+        derived = set()
+        for combo in product(consts, repeat=len(vs)):
+            env = dict(zip(vs, combo))
+            if all(_ground(b, env) in facts for b in c.body):
+                derived.add(_ground(c.head, env))
+        if derived & negatives:
+            continue
+        safe += 1
+        if derived & uncovered:
+            usable.append((c, derived & uncovered))
+
+    chosen: list[Clause] = []
+    while uncovered:
+        ranked = [
+            ((-len(got & uncovered), len(c.body), str(c)), c, got)
+            for c, got in usable
+            if got & uncovered
+        ]
+        if len(chosen) >= max_clauses or not ranked:
+            return "no_hypothesis", None, safe
+        _, c, got = min(ranked, key=lambda r: r[0])
+        chosen.append(c)
+        uncovered -= got
+    return "hypothesis", Program.of(chosen), safe
+
+
+def _ground(a: Atom, env: dict[Term, str]) -> Atom:
+    return Atom(a.predicate, tuple(const(env[t]) if t.is_var() else t for t in a.args))
 
 
 def random_instance(

@@ -16,6 +16,7 @@ import pytest
 from hornpipe import cover
 from hornpipe.cover import (
     CoverCache,
+    WantedSet,
     compile_candidate,
     coverage_tables,
     covered_atoms,
@@ -29,10 +30,10 @@ from hornpipe.learner import (
     solve,
     verify,
 )
-from hornpipe.logic import Atom, ExampleSet, Program, atom, canonical, const, print_clause
+from hornpipe.logic import Atom, Clause, ExampleSet, Program, atom, canonical, const, print_clause
 from hornpipe.parsing import parse_bias, parse_clause, parse_examples, parse_facts
 
-from oracles import naive_consequences
+from oracles import greedy_cover, naive_consequences, random_instance
 from test_parsing import VOCAB_BIAS
 
 RULE_CROSS_LANDING = "collision(V0,V1):- cross_runway(V0,V2),landing_runway(V1,V2)."
@@ -140,10 +141,10 @@ def test_split_body_covers_across_components():
     assert len(cand.groups) == 2
     store = FactStore.from_program(b)
     (cov,) = coverage_tables([cand], store)
-    want = {("a", "b"): atom("collision", "a", "b"), ("b", "a"): atom("collision", "b", "a")}
-    got = covered_atoms(cov, want)
+    want = [atom("collision", "a", "b"), atom("collision", "b", "a")]
+    got = covered_atoms(cov, WantedSet(want))
     assert got == {atom("collision", "a", "b")}
-    engine = coverage(b, Program.of([clause]), exs([a for a in want.values()], []))
+    engine = coverage(b, Program.of([clause]), exs(want, []))
     assert got == set(engine.covered_pos)
 
 
@@ -211,10 +212,7 @@ def test_cover_path_matches_engine_on_random_instances():
         background, ex = random_solver_instance(rng)
         store = FactStore.from_program(background)
         tables = coverage_tables(candidates, store)
-        wanted = {
-            tuple(t.name for t in a.args): a
-            for a in (*ex.positives, *ex.negatives)
-        }
+        wanted = WantedSet((*ex.positives, *ex.negatives))
         for cov in tables:
             fast = covered_atoms(cov, wanted)
             engine = coverage(background, Program.of([cov.candidate.clause]), ex)
@@ -252,17 +250,56 @@ def test_cover_path_matches_exhaustive_oracle_across_components():
     for _ in range(12):
         background = two_pool_background(rng)
         consts = sorted(FactStore.from_program(background).constants)
-        every = {(x, y): atom("h", x, y) for x in consts for y in consts}
-        some = dict(rng.sample(sorted(every.items()), k=len(every) // 4))
+        every = [atom("h", x, y) for x in consts for y in consts]
+        some = rng.sample(every, k=len(every) // 4)
+        every_set, some_set = WantedSet(every), WantedSet(some)
         for cov in coverage_tables(candidates, FactStore.from_program(background)):
             model = naive_consequences(background, Program.of([cov.candidate.clause]))
             derived = {a for a in model if a.predicate == "h"}
             cross += sum(a.args[0].name[0] != a.args[1].name[0] for a in derived)
             text = cov.candidate.text
-            assert covered_atoms(cov, every) == derived, text
-            assert covered_atoms(cov, some) == derived & set(some.values()), text
-            assert covers_any(cov, some) == bool(derived & set(some.values())), text
+            assert covered_atoms(cov, every_set) == derived, text
+            assert covered_atoms(cov, some_set) == derived & set(some), text
+            assert covers_any(cov, some_set) == bool(derived & set(some)), text
     assert cross  # some heads join groups bound in different components
+
+
+def test_group_key_under_different_slots_scores_apart():
+    """A group key omits the head slots, so two candidates whose ``p``
+    groups share a key but bind different head variables must still get
+    their own verdicts, in either scoring order."""
+    texts = ("h(X,Y):- p(X),q(X,Y).", "h(X,Y):- p(Y),q(X,Y).")
+    clauses = [canonical(parse_clause(t)) for t in texts]
+    cands = [compile_candidate(c, print_clause(c)) for c in clauses]
+    p_groups = [g for c in cands for g in c.groups if g.preds == {"p"}]
+    assert p_groups[0].key == p_groups[1].key
+    assert p_groups[0].head_slots != p_groups[1].head_slots
+    store = FactStore.from_program(parse_facts("p(a).\nq(a,b).\n"))
+    hit = atom("h", "a", "b")
+    want = {cands[0].text: {hit}, cands[1].text: set()}
+    for order in (cands, cands[::-1]):
+        covs = coverage_tables(order, store)
+        negatives, positives = WantedSet([hit]), WantedSet([hit])
+        for cov in covs:
+            assert covers_any(cov, negatives) == bool(want[cov.candidate.text])
+            assert covered_atoms(cov, positives) == want[cov.candidate.text]
+
+
+def test_wanted_set_reused_across_stores():
+    """A memoised mask belongs to the union it was computed from: one wanted
+    set scored against tables from different stores answers for each."""
+    clause = canonical(parse_clause("h(X,Y):- p(X,Z),q(Z,Y)."))
+    cand = compile_candidate(clause, print_clause(clause))
+    wanted = WantedSet([atom("h", "a", "b")])
+    cache = CoverCache()
+    for facts, covered in (
+        ("p(a,c).\nq(c,b).\n", True),
+        ("p(a,c).\nq(c,d).\n", False),
+        ("p(a,c).\nq(c,b).\n", True),
+    ):
+        (cov,) = coverage_tables([cand], FactStore.from_program(parse_facts(facts)), cache)
+        assert covers_any(cov, wanted) is covered
+        assert covered_atoms(cov, wanted) == ({atom("h", "a", "b")} if covered else set())
 
 
 # --------------------------------------------------------------------- solve
@@ -352,6 +389,41 @@ def test_cover_cache_shared_across_biases():
     for order, want in ((cases, fresh), (cases[::-1], fresh[::-1])):
         cache = CoverCache()
         assert [solve(background, ex, bias, cache) for bias, ex in order] == want
+
+
+def test_solve_scores_each_slotted_group_once(monkeypatch):
+    """One solve computes one hit mask per wanted set and distinct
+    ``(head_slots, key)`` among the candidates whose groups all have
+    solutions: the negatives' set over all of them, the positives' set over
+    the negative-safe ones."""
+    computed = []
+    real_hits = cover.WantedSet._hits
+
+    def counting_hits(self, slots, union):
+        computed.append(slots)
+        return real_hits(self, slots, union)
+
+    monkeypatch.setattr(cover.WantedSet, "_hits", counting_hits)
+    background = parse_facts("p(a,b).\np(b,c).\nq(b,a).\nq(c,c).\nr(a).\nr(c).\n")
+    ex = parse_examples("pos(h(a,b)).\npos(h(b,c)).\nneg(h(b,a)).\nneg(h(a,c)).\n")
+    res = solve(background, ex, SMALL_BIAS)
+
+    def slotted(covs):
+        return {(g.head_slots, g.key) for cov in covs for g in cov.candidate.groups}
+
+    covs = coverage_tables(list(candidate_list(SMALL_BIAS)), FactStore.from_program(background))
+    complete = [cov for cov in covs if cov.complete()]
+    safe = [
+        cov
+        for cov in complete
+        if not coverage(background, Program.of([cov.candidate.clause]), ex).covered_neg
+    ]
+    # a candidate with a group that has no solutions derives nothing
+    assert res.stats.candidates_negative_safe == len(safe) + len(covs) - len(complete)
+    # the bias has keys under more than one slot tuple, so a memo keyed by
+    # the key alone would compute fewer masks
+    assert len({key for _, key in slotted(complete)}) < len(slotted(complete))
+    assert len(computed) == len(slotted(complete)) + len(slotted(safe))
 
 
 def test_solve_deterministic():
@@ -448,3 +520,67 @@ def test_solve_complete_at_desk_scale():
             assert v.status == "consistent"
             assert len(res.hypothesis.clauses) <= SMALL_BIAS.max_clauses
     assert solvable >= 10  # the suite must actually exercise the property
+
+
+# ------------------------------------------- greedy cover against an oracle
+
+
+def random_solve_case(rng: random.Random):
+    """A solver instance grown from ``oracles.random_instance``: one head
+    predicate of a random program, its model's other atoms as background,
+    and ground atoms of the head predicate labelled by that model, with a
+    label flipped now and then so that some instances have no hypothesis."""
+    while True:
+        background, program = random_instance(rng, max_constants=4, max_body=2)
+        heads = sorted({(c.head.predicate, c.head.arity) for c in program})
+        if not heads:
+            continue
+        pred, arity = rng.choice(heads)
+        model = naive_consequences(background, program)
+        facts = sorted((a for a in model if a.predicate != pred), key=str)
+        body = sorted({(a.predicate, a.arity) for a in facts})
+        if body:
+            break
+    consts = sorted({t.name for a in model for t in a.args})
+    ground = [
+        Atom(pred, tuple(const(c) for c in args))
+        for args in itertools.product(consts, repeat=arity)
+    ]
+    rng.shuffle(ground)
+    pos, neg = [], []
+    for a in ground[: rng.randint(1, 6)]:
+        (pos if (a in model) != (rng.random() < 0.15) else neg).append(a)
+    if rng.random() < 0.1:  # an example already in the background
+        facts.append(rng.choice(ground))
+    bias = parse_bias(
+        f"head_pred({pred},{arity}).\n"
+        + "".join(f"body_pred({p},{k}).\n" for p, k in body)
+        + f"max_vars({rng.randint(max(arity, 2), 3)}).\n"
+        + f"max_body({rng.randint(1, 2)}).\n"
+        + f"max_clauses({rng.randint(1, 3)}).\n"
+    )
+    return Program.of(Clause(a) for a in facts), ExampleSet.of(pos, neg), bias
+
+
+def test_solve_matches_exhaustive_greedy_cover():
+    """Outcome, hypothesis text and negative-safe count equal the oracle's,
+    which scores each candidate alone by ground substitution."""
+    rng = random.Random(20261019)
+    outcomes = []
+    for _ in range(200):
+        background, ex, bias = random_solve_case(rng)
+        res = solve(background, ex, bias)
+        outcome, hypothesis, safe = greedy_cover(
+            background, ex, list(enumerate_clauses(bias)), bias.max_clauses
+        )
+        case = (str(background), str(ex.positives), str(ex.negatives))
+        assert res.outcome == outcome, case
+        assert str(res.hypothesis) == str(hypothesis), case
+        assert res.stats.candidates_negative_safe == safe, case
+        outcomes.append((outcome, -1 if hypothesis is None else len(hypothesis.clauses)))
+    # the instances reach every branch: no hypothesis, an empty one, and
+    # hypotheses of one and of several clauses
+    kinds = {o for o, _ in outcomes}
+    sizes = {n for _, n in outcomes}
+    assert kinds == {"hypothesis", "no_hypothesis"}
+    assert {0, 1} <= sizes and max(sizes) >= 2, outcomes
