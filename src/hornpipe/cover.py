@@ -23,8 +23,16 @@ The cache is keyed by component content and then by group content, a text
 of the group's rule that is the same under any renaming of its variables.
 Candidates that share a group therefore share its solutions, each group is
 solved once per component, and one cache serves any candidate list.
-Repeated solver calls over a growing background (the aggregation loop)
-reuse every unchanged component.
+
+The cache also keeps the solved form of the last two backgrounds it saw: the
+fact store, the component of each constant and each group's union of
+solutions.  Along an aggregation trial the background only grows, so a solve
+derives its form from the largest kept background it extends: only the new
+facts are converted, they merge the components they share a constant with,
+the groups fire only on the merged components, and only the unions those
+change are rebuilt.  The result equals a from-scratch solve, which is
+property-tested; the solver's self-check still builds its own store from the
+background program.
 """
 
 from __future__ import annotations
@@ -33,8 +41,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .entailment import CompiledRule, Fact, FactStore, fire
-from .logic import Atom, Clause
+from .entailment import CompiledRule, Fact, FactStore, background_facts, fire
+from .logic import Atom, Clause, Program
 
 
 @dataclass(frozen=True)
@@ -135,11 +143,35 @@ class _ComponentView:
         self.preds = frozenset(pred for pred, _ in facts)
 
 
+@dataclass(frozen=True, eq=False)
+class SolvedBackground:
+    """A background as the solver reads it: its fact store, the component of
+    each constant, and each group's solutions unioned over the components.
+
+    ``unions`` maps a group key to its solutions and omits groups that have
+    none.  A published form is never mutated; a form derived from it copies
+    what changes and shares the rest.
+    """
+
+    clauses: frozenset[Clause]
+    store: FactStore
+    component_of: dict[str, _ComponentView]
+    unions: dict[str, frozenset]
+
+
+_EMPTY = SolvedBackground(frozenset(), FactStore(), {}, {})
+
+
 class CoverCache:
-    """Per-component group solutions, shared across solver calls."""
+    """Per-component group solutions and the last two solved backgrounds,
+    shared across solver calls."""
+
+    KEPT = 2
 
     def __init__(self) -> None:
         self.tables: dict[frozenset[Fact], dict[str, frozenset]] = {}
+        self.groups: dict[str, Group] = {}  # every group a solved form has unions for
+        self._kept: list[SolvedBackground] = []  # most recently used first
 
     def table(self, view: _ComponentView, groups: Iterable[Group]) -> dict[str, frozenset]:
         """The component's solutions by group key, firing the groups it lacks."""
@@ -155,36 +187,82 @@ class CoverCache:
             table[group.key] = frozenset(args for _, args in heads)
         return table
 
+    def solved(self, background: Program, candidates: Iterable[Candidate]) -> SolvedBackground:
+        """The background's solved form, with unions for every candidate group.
+
+        A kept form of an equal background is returned as is.  Otherwise the
+        form is derived from the largest kept form whose background is a
+        subset of this one, or from the empty form when none is.
+        """
+        fresh = {g.key: g for cand in candidates for g in cand.groups if g.key not in self.groups}
+        if fresh:
+            # kept forms have no unions for these groups
+            self.groups.update(fresh)
+            self._kept.clear()
+        clauses = background.clauses
+        form = next((f for f in self._kept if f.clauses == clauses), None)
+        used = [form]
+        if form is None:
+            bases = (f for f in (*self._kept, _EMPTY) if f.clauses <= clauses)
+            base = max(bases, key=lambda f: len(f.clauses))
+            form = self._extend(base, clauses)
+            used = [form, base]
+        # a base counts as used, so a trial that discards a subset still
+        # derives its next step from the state it kept
+        self._kept = [f for f in dict.fromkeys([*used, *self._kept]) if f is not _EMPTY][: self.KEPT]
+        return form
+
+    def _extend(self, base: SolvedBackground, clauses: frozenset[Clause]) -> SolvedBackground:
+        """The solved form of ``clauses``, a superset of the base's background."""
+        new = list(background_facts(clauses - base.clauses))
+        store = base.store.copy()
+        for f in new:
+            store.add(f)
+        # a new fact joins every base component it shares a constant with
+        touched = {base.component_of[c] for _, args in new for c in args if c in base.component_of}
+        merged = FactStore([*new, *(f for view in touched for f in view.key)])
+        component_of = dict(base.component_of)
+        gained: dict[str, list[frozenset]] = {}
+        for facts in merged.components():
+            view = _ComponentView(facts)
+            for _, args in facts:
+                for c in args:
+                    component_of[c] = view
+            for key, sols in self.table(view, self.groups.values()).items():
+                if sols:
+                    gained.setdefault(key, []).append(sols)
+        # a component's solutions use only its own constants, and a merged
+        # component keeps every fact of the base components it absorbed, so
+        # it still derives their solutions: adding the new components'
+        # solutions to the base unions gives exactly the from-scratch unions
+        unions = dict(base.unions)
+        for key, sols in gained.items():
+            unions[key] = unions.get(key, frozenset()).union(*sols)
+        return SolvedBackground(clauses, store, component_of, unions)
+
 
 @dataclass
 class CandidateCoverage:
     """Union-of-components solutions per group, for one candidate."""
 
     candidate: Candidate
-    group_unions: list[set]  # parallel to candidate.groups
+    group_unions: list[frozenset]  # parallel to candidate.groups
 
     def complete(self) -> bool:
         return all(self.group_unions)
 
 
-def coverage_tables(
-    candidates: list[Candidate], store: FactStore, cache: CoverCache | None = None
-) -> list[CandidateCoverage]:
-    """Per-candidate group-solution unions over the store's components.
+def coverage_tables(candidates: list[Candidate], solved: SolvedBackground) -> list[CandidateCoverage]:
+    """Per-candidate group-solution unions, read from the background's solved
+    form for these candidates (``CoverCache.solved``).
 
     Candidates that share a group key share one union object, which is what
     lets a WantedSet score that group once for all of them.
     """
-    if cache is None:
-        cache = CoverCache()
-    groups = {g.key: g for cand in candidates for g in cand.groups}
-    unions: dict[str, set] = {key: set() for key in groups}
-    for facts in store.components():
-        for key, sols in cache.table(_ComponentView(facts), groups.values()).items():
-            if key in unions:
-                unions[key].update(sols)
+    unions = solved.unions
+    none: frozenset = frozenset()
     return [
-        CandidateCoverage(candidate=cand, group_unions=[unions[g.key] for g in cand.groups])
+        CandidateCoverage(candidate=cand, group_unions=[unions.get(g.key, none) for g in cand.groups])
         for cand in candidates
     ]
 
@@ -208,12 +286,12 @@ class WantedSet:
         self.atoms = tuple(atoms)
         self._args = [tuple(t.name for t in a.args) for a in self.atoms]
         self._projections: dict[tuple[int, ...], dict[tuple[str, ...], int]] = {}
-        self._masks: dict[tuple[tuple[int, ...], str], tuple[set, int]] = {}
+        self._masks: dict[tuple[tuple[int, ...], str], tuple[frozenset, int]] = {}
 
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def mask(self, group: Group, union: set) -> int:
+    def mask(self, group: Group, union: frozenset) -> int:
         """The wanted atoms the group's solutions ``union`` reach, as a bitmask."""
         memo_key = (group.head_slots, group.key)
         memo = self._masks.get(memo_key)
@@ -221,7 +299,7 @@ class WantedSet:
             memo = self._masks[memo_key] = (union, self._hits(group.head_slots, union))
         return memo[1]
 
-    def _hits(self, slots: tuple[int, ...], union: set) -> int:
+    def _hits(self, slots: tuple[int, ...], union: frozenset) -> int:
         proj = self._projections.get(slots)
         if proj is None:
             proj = self._projections[slots] = {}

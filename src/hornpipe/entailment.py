@@ -47,6 +47,18 @@ def fact_to_atom(f: Fact) -> Atom:
     return Atom(f[0], tuple(const(c) for c in f[1]))
 
 
+def background_facts(clauses: Iterable[Clause]) -> Iterator[Fact]:
+    """Background clauses as facts; a clause with a body is refused.
+
+    A clause with no body is ground by construction, so its arguments are
+    read without a check.
+    """
+    for c in clauses:
+        if c.body:
+            raise ValueError(f"background must contain only facts: {c}")
+        yield (c.head.predicate, tuple([t.name for t in c.head.args]))
+
+
 class FactStore:
     """Ground atoms by predicate, with a lazily built any-position index.
 
@@ -74,12 +86,15 @@ class FactStore:
 
     @staticmethod
     def from_program(p: Program) -> "FactStore":
-        store = FactStore()
-        for c in p:
-            if not c.is_fact():
-                raise ValueError(f"background must contain only facts: {c}")
-            store.add(atom_to_fact(c.head))
-        return store
+        return FactStore(background_facts(p.clauses))
+
+    def copy(self) -> "FactStore":
+        """An independent store with the same facts; indexes are rebuilt on demand."""
+        out = FactStore()
+        out.by_pred = {pred: rows.copy() for pred, rows in self.by_pred.items()}
+        out.constants = self.constants.copy()
+        out._count = self._count
+        return out
 
     def add(self, f: Fact) -> bool:
         """Insert; returns True when the fact is new."""
@@ -115,7 +130,12 @@ class FactStore:
         return rows is not None and f[1] in rows
 
     def has_atom(self, a: Atom) -> bool:
-        return atom_to_fact(a) in self
+        args = a.args
+        for t in args:
+            if t.kind != "const":
+                raise ValueError(f"expected a ground atom: {a}")
+        rows = self.by_pred.get(a.predicate)
+        return rows is not None and tuple([t.name for t in args]) in rows
 
     def __len__(self) -> int:
         return self._count

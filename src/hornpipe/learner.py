@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from . import cover
-from .entailment import FactStore, coverage
+from .entailment import coverage
 from .logic import (
     Atom,
     BiasSpec,
@@ -187,7 +187,8 @@ def solve(
 
     Success means every positive is derivable from background plus hypothesis
     and no negative is.  An externally supplied cache makes repeated calls
-    over overlapping backgrounds cheap.
+    over a growing background cheap: each call derives the background's
+    store, components and group unions from the last one it extends.
     """
     examples.check_predicates(bias)
     candidates = candidate_list(bias)
@@ -196,7 +197,10 @@ def solve(
     def done(outcome: str, hyp: Program | None, safe: int = 0) -> SolverResult:
         return SolverResult(outcome, hyp, replace(stats, candidates_negative_safe=safe))
 
-    store = FactStore.from_program(background)
+    if cache is None:
+        cache = cover.CoverCache()
+    solved = cache.solved(background, candidates)
+    store = solved.store
     # a negative already present as a fact can never be separated
     if any(store.has_atom(n) for n in examples.negatives):
         return done("no_hypothesis", None)
@@ -208,7 +212,7 @@ def solve(
     wanted_neg = _wanted_by_pred(examples.negatives)
     empty = cover.WantedSet(())
 
-    tables = cover.coverage_tables(list(candidates), store, cache)
+    tables = cover.coverage_tables(list(candidates), solved)
     usable: list[tuple[cover.Candidate, frozenset[Atom]]] = []
     safe = 0
     for cov in tables:

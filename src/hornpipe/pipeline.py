@@ -6,8 +6,11 @@ Stage 2 (subset checks): each valid subset must admit its own exact-fit
 hypothesis, or it is set aside as unreliable.  This is the one stage that
 fans out over worker processes (PipelineConfig.jobs); every other stage,
 and held-out evaluation, runs in-process.
-Stage 3 (aggregation): grow a global training set by re-solving from
-scratch as each subset joins; a subset that breaks solvability has its own
+Stage 3 (aggregation): grow a global training set by re-solving as each
+subset joins.  Each solve equals a from-scratch one, while the background's
+fact store, components and group unions carry over from the last solved
+background it extends (``cover.CoverCache``); a subset that breaks
+solvability has its own
 examples peeled off one at a time (negatives first) before being dropped
 entirely.  A subset taken whole and one cut back advance the state on the
 same path; only the logged action and removed examples differ.  If the

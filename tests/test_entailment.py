@@ -17,7 +17,7 @@ from hornpipe.entailment import (
     entails,
     rule_support,
 )
-from hornpipe.logic import Atom, Clause, ExampleSet, Program, atom
+from hornpipe.logic import Atom, Clause, ExampleSet, Program, atom, const, var
 from hornpipe.parsing import parse_clause, parse_facts, parse_examples, parse_rules
 from hornpipe.synthgen import generate_scenarios
 
@@ -68,6 +68,43 @@ def test_factstore_components():
     # facts sharing a constant land in one component
     store.add(("r", ("b", "c")))
     assert sorted(len(g) for g in store.components()) == [1, 3]
+
+
+def test_factstore_has_atom_rejects_non_ground_atom():
+    store = FactStore.from_program(prog("p(a,b)."))
+    for args in ((var("X"), const("b")), (const("a"), var("Y"))):
+        with pytest.raises(ValueError, match="ground"):
+            store.has_atom(Atom("p", args))
+
+
+def test_from_program_rejects_a_rule_in_the_background():
+    background = prog("p(a,b).").union(rules("q(X,Y):- p(X,Y)."))
+    with pytest.raises(ValueError, match="only facts"):
+        FactStore.from_program(background)
+
+
+def test_from_program_holds_exactly_the_program_facts():
+    rng = random.Random(20261018)
+    for _ in range(50):
+        background, _ = random_instance(rng, max_constants=6, max_predicates=4, max_facts=20)
+        store = FactStore.from_program(background)
+        want = {atom_to_fact(a) for a in background.facts()}
+        assert set(store.facts()) == want
+        assert len(store) == len(want)
+        assert store.constants == {c for _, args in want for c in args}
+
+
+def test_factstore_copy_is_independent():
+    store = FactStore.from_program(prog("p(a,b).", "q(b)."))
+    store.index("p", 2, 0)
+    twin = store.copy()
+    twin.add(("p", ("c", "d")))
+    assert set(store.facts()) == {("p", ("a", "b")), ("q", ("b",))}
+    assert store.constants == {"a", "b"} and len(store) == 2
+    assert store.index("p", 2, 0) == {"a": [("a", "b")]}
+    assert set(twin.facts()) == {("p", ("a", "b")), ("q", ("b",)), ("p", ("c", "d"))}
+    assert twin.index("p", 2, 0) == {"a": [("a", "b")], "c": [("c", "d")]}
+    assert len(twin) == 3
 
 
 # --- consequences ----------------------------------------------------------------

@@ -139,8 +139,7 @@ def test_split_body_covers_across_components():
     clause = canonical(parse_clause("collision(X,Y):- cross_runway(X,R),landing_runway(Y,S)."))
     cand = compile_candidate(clause, print_clause(clause))
     assert len(cand.groups) == 2
-    store = FactStore.from_program(b)
-    (cov,) = coverage_tables([cand], store)
+    (cov,) = coverage_tables([cand], CoverCache().solved(b, [cand]))
     want = [atom("collision", "a", "b"), atom("collision", "b", "a")]
     got = covered_atoms(cov, WantedSet(want))
     assert got == {atom("collision", "a", "b")}
@@ -154,10 +153,10 @@ def test_cover_cache_reused_across_stores():
     ]
     cache = CoverCache()
     b1 = parse_facts("cross_runway(a,r1).\nlanding_runway(b,r1).\n")
-    coverage_tables(candidates, FactStore.from_program(b1), cache)
+    cache.solved(b1, candidates)
     n1 = len(cache.tables)
     b2 = parse_facts("cross_runway(a,r1).\nlanding_runway(b,r1).\ncross_runway(c,r2).\n")
-    coverage_tables(candidates, FactStore.from_program(b2), cache)
+    cache.solved(b2, candidates)
     # first component unchanged, second one new
     assert len(cache.tables) == n1 + 1
 
@@ -176,15 +175,15 @@ def test_shared_group_fires_once_per_component(monkeypatch):
     candidates = [
         compile_candidate(c, print_clause(c)) for c in enumerate_clauses(SMALL_BIAS)
     ]
-    store = FactStore.from_program(parse_facts("p(a,b).\np(b,c).\nr(c).\n"))
-    assert len(store.components()) == 1
+    background = parse_facts("p(a,b).\np(b,c).\nr(c).\n")
+    assert len(FactStore.from_program(background).components()) == 1
     slots = [g.rule for c in candidates for g in c.groups if g.preds <= {"p", "r"}]
     distinct = {canonical(rule) for rule in slots}
     assert len(distinct) < len(slots)
     cache = CoverCache()
-    coverage_tables(candidates, store, cache)
+    cache.solved(background, candidates)
     assert len(fired) == len(distinct)
-    coverage_tables(candidates, store, cache)
+    cache.solved(background, candidates)
     assert len(fired) == len(distinct)
 
 
@@ -210,8 +209,7 @@ def test_cover_path_matches_engine_on_random_instances():
     rng = random.Random(20260301)
     for _ in range(40):
         background, ex = random_solver_instance(rng)
-        store = FactStore.from_program(background)
-        tables = coverage_tables(candidates, store)
+        tables = coverage_tables(candidates, CoverCache().solved(background, candidates))
         wanted = WantedSet((*ex.positives, *ex.negatives))
         for cov in tables:
             fast = covered_atoms(cov, wanted)
@@ -253,7 +251,7 @@ def test_cover_path_matches_exhaustive_oracle_across_components():
         every = [atom("h", x, y) for x in consts for y in consts]
         some = rng.sample(every, k=len(every) // 4)
         every_set, some_set = WantedSet(every), WantedSet(some)
-        for cov in coverage_tables(candidates, FactStore.from_program(background)):
+        for cov in coverage_tables(candidates, CoverCache().solved(background, candidates)):
             model = naive_consequences(background, Program.of([cov.candidate.clause]))
             derived = {a for a in model if a.predicate == "h"}
             cross += sum(a.args[0].name[0] != a.args[1].name[0] for a in derived)
@@ -274,11 +272,11 @@ def test_group_key_under_different_slots_scores_apart():
     p_groups = [g for c in cands for g in c.groups if g.preds == {"p"}]
     assert p_groups[0].key == p_groups[1].key
     assert p_groups[0].head_slots != p_groups[1].head_slots
-    store = FactStore.from_program(parse_facts("p(a).\nq(a,b).\n"))
+    background = parse_facts("p(a).\nq(a,b).\n")
     hit = atom("h", "a", "b")
     want = {cands[0].text: {hit}, cands[1].text: set()}
     for order in (cands, cands[::-1]):
-        covs = coverage_tables(order, store)
+        covs = coverage_tables(order, CoverCache().solved(background, order))
         negatives, positives = WantedSet([hit]), WantedSet([hit])
         for cov in covs:
             assert covers_any(cov, negatives) == bool(want[cov.candidate.text])
@@ -297,9 +295,91 @@ def test_wanted_set_reused_across_stores():
         ("p(a,c).\nq(c,d).\n", False),
         ("p(a,c).\nq(c,b).\n", True),
     ):
-        (cov,) = coverage_tables([cand], FactStore.from_program(parse_facts(facts)), cache)
+        (cov,) = coverage_tables([cand], cache.solved(parse_facts(facts), [cand]))
         assert covers_any(cov, wanted) is covered
         assert covered_atoms(cov, wanted) == ({atom("h", "a", "b")} if covered else set())
+
+
+def fresh_unions(background: Program, candidates) -> dict[str, frozenset]:
+    """Group unions straight from the components of ``from_program``, each
+    group fired on its own, with no cache and no derivation."""
+    groups = {g.key: g for cand in candidates for g in cand.groups}
+    out: dict[str, set] = {}
+    for facts in FactStore.from_program(background).components():
+        store = FactStore(facts)
+        for key, group in groups.items():
+            heads: set = set()
+            cover.fire(group.compiled, store, heads)
+            if heads:
+                out.setdefault(key, set()).update(args for _, args in heads)
+    return {key: frozenset(sols) for key, sols in out.items()}
+
+
+def assert_solved_is_fresh(form: cover.SolvedBackground, background: Program, candidates) -> None:
+    store = FactStore.from_program(background)
+    assert form.clauses == background.clauses
+    assert set(form.store.facts()) == set(store.facts())
+    assert len(form.store) == len(store) and form.store.constants == store.constants
+    views = set(form.component_of.values())
+    assert {v.key for v in views} == {frozenset(c) for c in store.components()}
+    assert set(form.component_of) == store.constants
+    for c, view in form.component_of.items():
+        assert any(c in args for _, args in view.key)
+    assert form.unions == fresh_unions(background, candidates)
+
+
+def background_chain(rng: random.Random):
+    """Overlapping fact subsets from one ``oracles.random_instance`` background,
+    and a bias over its predicates."""
+    background, _ = random_instance(
+        rng, max_constants=7, max_predicates=3, max_facts=18, arities=(1, 2)
+    )
+    facts = sorted(background.clauses, key=str)
+    arity = {c.head.predicate: c.head.arity for c in facts}
+    bias = parse_bias(
+        "head_pred(h,2).\n"
+        + "".join(f"body_pred({pred},{ar}).\n" for pred, ar in sorted(arity.items()))
+        + "max_vars(3).\nmax_body(2).\n"
+    )
+    subsets = [
+        Program.of(rng.sample(facts, k=rng.randint(1, min(4, len(facts)))))
+        for _ in range(rng.randint(4, 8))
+    ]
+    return bias, subsets
+
+
+def test_derived_solved_background_equals_a_fresh_one():
+    """Along random aggregation-shaped chains (each step extends the kept
+    state by a subset, then keeps or discards it, sometimes asking for the
+    same background again), every solved form equals one built from
+    scratch, and so does every earlier form after later steps."""
+    rng = random.Random(20261018)
+    merges = discards_then_derived = repeats = 0
+    for _ in range(60):
+        bias, subsets = background_chain(rng)
+        candidates = candidate_list(bias)
+        cache = CoverCache()
+        state = Program.of(())
+        latest = None
+        seen: list[tuple[cover.SolvedBackground, Program]] = []
+        for subset in subsets:
+            background = state.union(subset)
+            form = cache.solved(background, candidates)
+            assert_solved_is_fresh(form, background, candidates)
+            old = FactStore.from_program(state).constants
+            new = FactStore.from_program(subset).constants
+            merges += bool(old & new) and background != state
+            discards_then_derived += latest is not None and latest.clauses != state.clauses
+            if rng.random() < 0.3:
+                repeats += 1
+                assert cache.solved(background, candidates) is form
+            seen.append((form, background))
+            latest = form
+            if rng.random() < 0.7:
+                state = background
+        for form, background in seen:
+            assert_solved_is_fresh(form, background, candidates)
+    assert merges > 20 and discards_then_derived > 20 and repeats > 20
 
 
 # --------------------------------------------------------------------- solve
@@ -411,7 +491,8 @@ def test_solve_scores_each_slotted_group_once(monkeypatch):
     def slotted(covs):
         return {(g.head_slots, g.key) for cov in covs for g in cov.candidate.groups}
 
-    covs = coverage_tables(list(candidate_list(SMALL_BIAS)), FactStore.from_program(background))
+    candidates = list(candidate_list(SMALL_BIAS))
+    covs = coverage_tables(candidates, CoverCache().solved(background, candidates))
     complete = [cov for cov in covs if cov.complete()]
     safe = [
         cov
