@@ -25,8 +25,9 @@ Candidates that share a group therefore share its solutions, each group is
 solved once per component, and one cache serves any candidate list.
 
 The cache also keeps the solved form of the last two backgrounds it saw: the
-fact store, the component of each constant and each group's union of
-solutions.  Along an aggregation trial the background only grows, so a solve
+component of each constant and each group's union of solutions.  Each
+background fact is held once, in its component, and fact membership is read
+from there.  Along an aggregation trial the background only grows, so a solve
 derives its form from the largest kept background it extends: only the new
 facts are converted, they merge the components they share a constant with,
 the groups fire only on the merged components, and only the unions those
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .entailment import CompiledRule, Fact, FactStore, background_facts, fire
+from .entailment import CompiledRule, Fact, FactStore, atom_to_fact, background_facts, fire
 from .logic import Atom, Clause, Program
 
 
@@ -145,21 +146,28 @@ class _ComponentView:
 
 @dataclass(frozen=True, eq=False)
 class SolvedBackground:
-    """A background as the solver reads it: its fact store, the component of
-    each constant, and each group's solutions unioned over the components.
+    """A background as the solver reads it: the component of each constant,
+    and each group's solutions unioned over the components.
 
-    ``unions`` maps a group key to its solutions and omits groups that have
-    none.  A published form is never mutated; a form derived from it copies
-    what changes and shares the rest.
+    A fact lies in the component of each of its constants, so the components
+    also answer fact membership.  ``unions`` maps a group key to its
+    solutions and omits groups that have none.  A published form is never
+    mutated; a form derived from it copies what changes and shares the rest.
     """
 
     clauses: frozenset[Clause]
-    store: FactStore
     component_of: dict[str, _ComponentView]
     unions: dict[str, frozenset]
 
+    def has_atom(self, a: Atom) -> bool:
+        """Whether the ground atom is a background fact: one in the component
+        of its first constant."""
+        fact = atom_to_fact(a)
+        view = self.component_of.get(fact[1][0])
+        return view is not None and fact in view.key
 
-_EMPTY = SolvedBackground(frozenset(), FactStore(), {}, {})
+
+_EMPTY = SolvedBackground(frozenset(), {}, {})
 
 
 class CoverCache:
@@ -190,9 +198,9 @@ class CoverCache:
     def solved(self, background: Program, candidates: Iterable[Candidate]) -> SolvedBackground:
         """The background's solved form, with unions for every candidate group.
 
-        A kept form of an equal background is returned as is.  Otherwise the
-        form is derived from the largest kept form whose background is a
-        subset of this one, or from the empty form when none is.
+        The form is derived from the largest kept form whose background is a
+        subset of this one, or from the empty form when none is.  A kept form
+        of an equal background is that largest one, and is returned as is.
         """
         fresh = {g.key: g for cand in candidates for g in cand.groups if g.key not in self.groups}
         if fresh:
@@ -200,24 +208,20 @@ class CoverCache:
             self.groups.update(fresh)
             self._kept.clear()
         clauses = background.clauses
-        form = next((f for f in self._kept if f.clauses == clauses), None)
-        used = [form]
-        if form is None:
-            bases = (f for f in (*self._kept, _EMPTY) if f.clauses <= clauses)
-            base = max(bases, key=lambda f: len(f.clauses))
-            form = self._extend(base, clauses)
-            used = [form, base]
+        bases = (f for f in (*self._kept, _EMPTY) if f.clauses <= clauses)
+        base = max(bases, key=lambda f: len(f.clauses))
+        form = self._extend(base, clauses)
         # a base counts as used, so a trial that discards a subset still
         # derives its next step from the state it kept
-        self._kept = [f for f in dict.fromkeys([*used, *self._kept]) if f is not _EMPTY][: self.KEPT]
+        self._kept = [f for f in dict.fromkeys([form, base, *self._kept]) if f is not _EMPTY][: self.KEPT]
         return form
 
     def _extend(self, base: SolvedBackground, clauses: frozenset[Clause]) -> SolvedBackground:
-        """The solved form of ``clauses``, a superset of the base's background."""
+        """The solved form of ``clauses``, a superset of the base's background;
+        the base itself when they are equal."""
+        if clauses == base.clauses:
+            return base
         new = list(background_facts(clauses - base.clauses))
-        store = base.store.copy()
-        for f in new:
-            store.add(f)
         # a new fact joins every base component it shares a constant with
         touched = {base.component_of[c] for _, args in new for c in args if c in base.component_of}
         merged = FactStore([*new, *(f for view in touched for f in view.key)])
@@ -238,7 +242,7 @@ class CoverCache:
         unions = dict(base.unions)
         for key, sols in gained.items():
             unions[key] = unions.get(key, frozenset()).union(*sols)
-        return SolvedBackground(clauses, store, component_of, unions)
+        return SolvedBackground(clauses, component_of, unions)
 
 
 @dataclass

@@ -38,9 +38,11 @@ Fact = tuple[str, Row]
 
 
 def atom_to_fact(a: Atom) -> Fact:
-    if not a.is_ground():
-        raise ValueError(f"expected a ground atom: {a}")
-    return (a.predicate, tuple(t.name for t in a.args))
+    args = a.args
+    for t in args:
+        if t.kind != "const":
+            raise ValueError(f"expected a ground atom: {a}")
+    return (a.predicate, tuple([t.name for t in args]))
 
 
 def fact_to_atom(f: Fact) -> Atom:
@@ -73,11 +75,10 @@ class FactStore:
     incrementally and hands it back frozen by convention.
     """
 
-    __slots__ = ("by_pred", "constants", "_index", "_count")
+    __slots__ = ("by_pred", "_index", "_count")
 
     def __init__(self, facts: Iterable[Fact] = ()):
         self.by_pred: dict[str, set[Row]] = {}
-        self.constants: set[str] = set()
         # predicate -> {(arity, position): {value: rows}}
         self._index: dict[str, dict[tuple[int, int], dict[str, list[Row]]]] = {}
         self._count = 0
@@ -87,14 +88,6 @@ class FactStore:
     @staticmethod
     def from_program(p: Program) -> "FactStore":
         return FactStore(background_facts(p.clauses))
-
-    def copy(self) -> "FactStore":
-        """An independent store with the same facts; indexes are rebuilt on demand."""
-        out = FactStore()
-        out.by_pred = {pred: rows.copy() for pred, rows in self.by_pred.items()}
-        out.constants = self.constants.copy()
-        out._count = self._count
-        return out
 
     def add(self, f: Fact) -> bool:
         """Insert; returns True when the fact is new."""
@@ -109,7 +102,6 @@ class FactStore:
             for (ar, pos), buckets in built.items():
                 if ar == arity:
                     buckets.setdefault(args[pos], []).append(args)
-        self.constants.update(args)
         self._count += 1
         return True
 
@@ -160,11 +152,11 @@ class FactStore:
                 parent[c], c = root, parent[c]
             return root
 
-        for c in self.constants:
-            parent[c] = c
         for _, args in self.facts():
             first = args[0]
+            parent.setdefault(first, first)
             for other in args[1:]:
+                parent.setdefault(other, other)
                 ra, rb = find(first), find(other)
                 if ra != rb:
                     parent[ra] = rb

@@ -188,7 +188,7 @@ def solve(
     Success means every positive is derivable from background plus hypothesis
     and no negative is.  An externally supplied cache makes repeated calls
     over a growing background cheap: each call derives the background's
-    store, components and group unions from the last one it extends.
+    components and group unions from the last one it extends.
     """
     examples.check_predicates(bias)
     candidates = candidate_list(bias)
@@ -200,15 +200,15 @@ def solve(
     if cache is None:
         cache = cover.CoverCache()
     solved = cache.solved(background, candidates)
-    store = solved.store
     # a negative already present as a fact can never be separated
-    if any(store.has_atom(n) for n in examples.negatives):
+    if any(solved.has_atom(n) for n in examples.negatives):
         return done("no_hypothesis", None)
-    uncovered = {p for p in examples.positives if not store.has_atom(p)}
-    if not uncovered:
+    missing = tuple(p for p in examples.positives if not solved.has_atom(p))
+    if not missing:
         return done("hypothesis", Program.of(()))
 
-    wanted_pos = _wanted_by_pred(tuple(sorted(uncovered, key=str)))
+    uncovered = set(missing)
+    wanted_pos = _wanted_by_pred(missing)
     wanted_neg = _wanted_by_pred(examples.negatives)
     empty = cover.WantedSet(())
 

@@ -8,14 +8,13 @@ fans out over worker processes (PipelineConfig.jobs); every other stage,
 and held-out evaluation, runs in-process.
 Stage 3 (aggregation): grow a global training set by re-solving as each
 subset joins.  Each solve equals a from-scratch one, while the background's
-fact store, components and group unions carry over from the last solved
-background it extends (``cover.CoverCache``); a subset that breaks
-solvability has its own
-examples peeled off one at a time (negatives first) before being dropped
-entirely.  A subset taken whole and one cut back advance the state on the
-same path; only the logged action and removed examples differ.  If the
-chronological pass drops too many subsets, seeded shuffled passes retry,
-keeping the best trial.
+components (which also answer fact membership) and group unions carry over
+from the last solved background it extends (``cover.CoverCache``); a subset
+that breaks solvability has its own examples peeled off one at a time
+(negatives first) before being dropped entirely.  A subset taken whole and
+one cut back advance the state on the same path; only the logged action and
+removed examples differ.  If the chronological pass drops too many subsets,
+seeded shuffled passes retry, keeping the best trial.
 Stage 4 (pruning): drop accepted rules whose standalone support on the
 aggregated positives falls below a fraction of the maximum support.
 
@@ -333,8 +332,8 @@ def retain_partial(
 
     Removal is cumulative, newest-parsed first, negatives before positives;
     at least one of the candidate's own positives must survive.  Returns
-    (kept_pos, kept_neg, removed_pos, removed_neg, result, background,
-    examples) or None when every reduction fails.
+    (removed_pos, removed_neg, result, background, examples) or None when
+    every reduction fails.
     """
     if cache is None:
         cache = CoverCache()
@@ -350,7 +349,7 @@ def retain_partial(
             removed_pos.append(pos.pop())
         res, examples = _try_union(state, background, pos, neg, bias, cache)
         if _acceptable(res):
-            return pos, neg, removed_pos, removed_neg, res, background, examples
+            return removed_pos, removed_neg, res, background, examples
     return None
 
 
@@ -440,7 +439,7 @@ def _run_trial(
                 )
                 state = replace(state, trial_log=tuple(log))
                 continue
-            _, _, removed_pos, removed_neg, res, background, examples = reduced
+            removed_pos, removed_neg, res, background, examples = reduced
         # the solve that produced this step has verified the state
         log.append(
             CandidateDecision(

@@ -40,7 +40,7 @@ def test_factstore_indexes_and_constants():
     assert len(store) == 3
     assert store.by_pred["p"] == {("a", "b"), ("a", "c")}
     assert store.by_pred["q"] == {("b",)}
-    assert store.constants == {"a", "b", "c"}
+    assert {c for _, args in store.facts() for c in args} == {"a", "b", "c"}
     assert store.has_atom(atom("p", "a", "b"))
     assert not store.has_atom(atom("p", "b", "a"))
 
@@ -91,20 +91,6 @@ def test_from_program_holds_exactly_the_program_facts():
         want = {atom_to_fact(a) for a in background.facts()}
         assert set(store.facts()) == want
         assert len(store) == len(want)
-        assert store.constants == {c for _, args in want for c in args}
-
-
-def test_factstore_copy_is_independent():
-    store = FactStore.from_program(prog("p(a,b).", "q(b)."))
-    store.index("p", 2, 0)
-    twin = store.copy()
-    twin.add(("p", ("c", "d")))
-    assert set(store.facts()) == {("p", ("a", "b")), ("q", ("b",))}
-    assert store.constants == {"a", "b"} and len(store) == 2
-    assert store.index("p", 2, 0) == {"a": [("a", "b")]}
-    assert set(twin.facts()) == {("p", ("a", "b")), ("q", ("b",)), ("p", ("c", "d"))}
-    assert twin.index("p", 2, 0) == {"a": [("a", "b")], "c": [("c", "d")]}
-    assert len(twin) == 3
 
 
 # --- consequences ----------------------------------------------------------------

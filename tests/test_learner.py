@@ -30,7 +30,7 @@ from hornpipe.learner import (
     solve,
     verify,
 )
-from hornpipe.logic import Atom, Clause, ExampleSet, Program, atom, canonical, const, print_clause
+from hornpipe.logic import Atom, Clause, ExampleSet, Program, atom, canonical, const, print_clause, var
 from hornpipe.parsing import parse_bias, parse_clause, parse_examples, parse_facts
 
 from oracles import greedy_cover, naive_consequences, random_instance
@@ -247,7 +247,7 @@ def test_cover_path_matches_exhaustive_oracle_across_components():
     cross = 0
     for _ in range(12):
         background = two_pool_background(rng)
-        consts = sorted(FactStore.from_program(background).constants)
+        consts = sorted(constants(background))
         every = [atom("h", x, y) for x in consts for y in consts]
         some = rng.sample(every, k=len(every) // 4)
         every_set, some_set = WantedSet(every), WantedSet(some)
@@ -300,6 +300,10 @@ def test_wanted_set_reused_across_stores():
         assert covered_atoms(cov, wanted) == ({atom("h", "a", "b")} if covered else set())
 
 
+def constants(background: Program) -> set[str]:
+    return {c for _, args in FactStore.from_program(background).facts() for c in args}
+
+
 def fresh_unions(background: Program, candidates) -> dict[str, frozenset]:
     """Group unions straight from the components of ``from_program``, each
     group fired on its own, with no cache and no derivation."""
@@ -317,12 +321,22 @@ def fresh_unions(background: Program, candidates) -> dict[str, frozenset]:
 
 def assert_solved_is_fresh(form: cover.SolvedBackground, background: Program, candidates) -> None:
     store = FactStore.from_program(background)
+    consts = constants(background)
     assert form.clauses == background.clauses
-    assert set(form.store.facts()) == set(store.facts())
-    assert len(form.store) == len(store) and form.store.constants == store.constants
+    # membership on every fact, on every other atom over the background's
+    # constants, and on atoms whose first constant is not in the background
+    arities = {(pred, len(args)) for pred, args in store.facts()}
+    probes = [
+        Atom(pred, tuple(const(c) for c in args))
+        for pred, arity in arities
+        for args in itertools.product([*consts, "absent"], repeat=arity)
+    ]
+    assert sum(map(store.has_atom, probes)) == len(store)
+    for a in probes:
+        assert form.has_atom(a) == store.has_atom(a), a
     views = set(form.component_of.values())
     assert {v.key for v in views} == {frozenset(c) for c in store.components()}
-    assert set(form.component_of) == store.constants
+    assert set(form.component_of) == consts
     for c, view in form.component_of.items():
         assert any(c in args for _, args in view.key)
     assert form.unions == fresh_unions(background, candidates)
@@ -366,8 +380,7 @@ def test_derived_solved_background_equals_a_fresh_one():
             background = state.union(subset)
             form = cache.solved(background, candidates)
             assert_solved_is_fresh(form, background, candidates)
-            old = FactStore.from_program(state).constants
-            new = FactStore.from_program(subset).constants
+            old, new = constants(state), constants(subset)
             merges += bool(old & new) and background != state
             discards_then_derived += latest is not None and latest.clauses != state.clauses
             if rng.random() < 0.3:
@@ -380,6 +393,13 @@ def test_derived_solved_background_equals_a_fresh_one():
         for form, background in seen:
             assert_solved_is_fresh(form, background, candidates)
     assert merges > 20 and discards_then_derived > 20 and repeats > 20
+
+
+def test_solved_has_atom_rejects_non_ground_atom():
+    form = CoverCache().solved(parse_facts("p(a,b).\n"), [])
+    for args in ((var("X"), const("b")), (const("a"), var("Y"))):
+        with pytest.raises(ValueError, match="ground"):
+            form.has_atom(Atom("p", args))
 
 
 # --------------------------------------------------------------------- solve

@@ -282,7 +282,9 @@ def test_retain_partial_peels_contradicting_positive():
     b = _subset("b", "2024-01-02", "q(c,d).\n", "pos(goal(c,d)).\npos(goal(b,a)).\n")
     reduced = retain_partial(state_a, b, TEST_BIAS)
     assert reduced is not None
-    kept_pos, kept_neg, removed_pos, removed_neg, res, background, examples = reduced
+    removed_pos, removed_neg, res, background, examples = reduced
+    kept_pos = examples.positives[len(state_a.examples.positives) :]
+    kept_neg = examples.negatives[len(state_a.examples.negatives) :]
     assert [str(a) for a in kept_pos] == ["goal(c,d)"]
     assert [str(a) for a in removed_pos] == ["goal(b,a)"]
     assert not removed_neg and not kept_neg
