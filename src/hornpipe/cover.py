@@ -11,13 +11,17 @@ heads that rule derives when ``entailment.fire`` runs it once over the
 component, through the same planned join as the fixpoint engine.  They are
 unioned over components.
 
-Examples are scored once per distinct group projection per solve, not once
-per candidate.  A WantedSet holds one head predicate's negatives (or
-positives) and memoises, for each distinct ``(head_slots, key)``, a bitmask
-of the atoms that group's solutions reach.  A candidate covers a negative
-exactly when the AND of its groups' masks is non-zero, and its covered
-positives are the set bits of that AND.  Results are exact: equivalence
-with the fixpoint engine and with exhaustive oracles is property-tested.
+Examples are scored once per slotted group per solve, not once per
+candidate.  A CandidateList, built once per bias, numbers the distinct
+slotted groups ``(head predicate, head arity, head_slots, key)`` and gives
+each candidate the indices of its own.  A solve reads each slotted group's
+union once, holds its negatives in one WantedSet and its missing positives
+in another, and computes one bitmask per slotted group and side: the
+wanted atoms of the group's head that its solutions reach.  A candidate's
+verdict is then one AND of its groups' masks: it covers a negative exactly
+when that AND is non-zero, and its covered positives are the set bits.
+Results are exact: equivalence with the fixpoint engine and with exhaustive
+oracles is property-tested.
 
 The cache is keyed by component content and then by group content, a text
 of the group's rule that is the same under any renaming of its variables.
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .entailment import CompiledRule, Fact, FactStore, atom_to_fact, background_facts, fire
 from .logic import Atom, Clause, Program
@@ -245,70 +249,85 @@ class CoverCache:
         return SolvedBackground(clauses, component_of, unions)
 
 
-@dataclass
-class CandidateCoverage:
-    """Union-of-components solutions per group, for one candidate."""
-
-    candidate: Candidate
-    group_unions: list[frozenset]  # parallel to candidate.groups
-
-    def complete(self) -> bool:
-        return all(self.group_unions)
+Slotted = tuple[str, int, tuple[int, ...], str]  # head predicate, head arity, head_slots, key
 
 
-def coverage_tables(candidates: list[Candidate], solved: SolvedBackground) -> list[CandidateCoverage]:
-    """Per-candidate group-solution unions, read from the background's solved
-    form for these candidates (``CoverCache.solved``).
+class CandidateList:
+    """A hypothesis space's candidates in order, with their slotted groups
+    numbered once.
 
-    Candidates that share a group key share one union object, which is what
-    lets a WantedSet score that group once for all of them.
+    A slotted group is a group as a candidate scores it: ``(head predicate,
+    head arity, head_slots, key)``.  A group key omits the head slots, so
+    ``h(X,Y):- p(X)`` and ``h(X,Y):- p(Y)`` share the key of ``p``'s group,
+    and it omits the head, which decides the wanted atoms a mask may reach.
+    ``uses[i]`` indexes candidate i's slotted groups in ``slotted``.
     """
+
+    __slots__ = ("candidates", "slotted", "uses")
+
+    def __init__(self, candidates: Iterable[Candidate]):
+        self.candidates = tuple(candidates)
+        number: dict[Slotted, int] = {}
+        self.uses = tuple(
+            tuple(
+                number.setdefault((c.clause.head.predicate, c.head_arity, g.head_slots, g.key), len(number))
+                for g in c.groups
+            )
+            for c in self.candidates
+        )
+        self.slotted = tuple(number)
+
+    def __len__(self) -> int:
+        return len(self.candidates)
+
+    def __iter__(self) -> Iterator[Candidate]:
+        return iter(self.candidates)
+
+
+@dataclass(frozen=True)
+class CoverTables:
+    """Each slotted group's union of solutions in one solved background."""
+
+    candidates: CandidateList
+    unions: tuple[frozenset, ...]  # parallel to candidates.slotted; empty when a group has none
+
+
+def coverage_tables(candidates: CandidateList, solved: SolvedBackground) -> CoverTables:
+    """The slotted groups' unions, read from the background's solved form for
+    these candidates (``CoverCache.solved``)."""
     unions = solved.unions
     none: frozenset = frozenset()
-    return [
-        CandidateCoverage(candidate=cand, group_unions=[unions.get(g.key, none) for g in cand.groups])
-        for cand in candidates
-    ]
+    return CoverTables(candidates, tuple(unions.get(key, none) for *_, key in candidates.slotted))
 
 
 class WantedSet:
-    """One head predicate's wanted ground atoms in a fixed order, with a
-    memoised hit mask per body group.
+    """Wanted ground atoms in a fixed order, numbered across head predicates.
 
-    Bit i of a group's mask is set when atom i's arguments at the group's
-    head slots are among the group's solutions.  A candidate derives atom i
-    exactly when bit i is set in every one of its groups' masks, so a
-    candidate's verdict is the AND of masks computed once per distinct
-    ``(head_slots, key)``.  The slots belong in the memo key because a group
-    key omits them: ``h(X,Y):- p(X)`` and ``h(X,Y):- p(Y)`` share the key of
-    ``p``'s group.  A mask is reused only for the very union object it was
-    computed from, so a wanted set handed tables from another store
-    recomputes rather than answers for the wrong one.
+    Bit i of a slotted group's mask is set when atom i has the group's head
+    predicate and arity and its arguments at the group's head slots are
+    among the group's solutions.  A candidate derives atom i exactly when
+    bit i is set in every one of its slotted groups' masks.
     """
 
     def __init__(self, atoms: Iterable[Atom]):
         self.atoms = tuple(atoms)
-        self._args = [tuple(t.name for t in a.args) for a in self.atoms]
-        self._projections: dict[tuple[int, ...], dict[tuple[str, ...], int]] = {}
-        self._masks: dict[tuple[tuple[int, ...], str], tuple[frozenset, int]] = {}
+        self._by_head: dict[tuple[str, int], list[tuple[int, tuple[str, ...]]]] = {}
+        for i, a in enumerate(self.atoms):
+            self._by_head.setdefault((a.predicate, len(a.args)), []).append((i, tuple([t.name for t in a.args])))
+        self._projections: dict[tuple[str, int, tuple[int, ...]], dict[tuple[str, ...], int]] = {}
 
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def mask(self, group: Group, union: frozenset) -> int:
-        """The wanted atoms the group's solutions ``union`` reach, as a bitmask."""
-        memo_key = (group.head_slots, group.key)
-        memo = self._masks.get(memo_key)
-        if memo is None or memo[0] is not union:
-            memo = self._masks[memo_key] = (union, self._hits(group.head_slots, union))
-        return memo[1]
-
-    def _hits(self, slots: tuple[int, ...], union: frozenset) -> int:
-        proj = self._projections.get(slots)
+    def mask(self, slotted: Slotted, union: frozenset) -> int:
+        """The wanted atoms the slotted group's solutions ``union`` reach, as a bitmask."""
+        pred, arity, slots, _ = slotted
+        proj = self._projections.get((pred, arity, slots))
         if proj is None:
-            proj = self._projections[slots] = {}
-            for i, args in enumerate(self._args):
-                key = tuple(args[s] for s in slots)
+            proj = self._projections[pred, arity, slots] = {}
+            every = len(slots) == arity  # slots ascend, so they are all of them in order
+            for i, args in self._by_head.get((pred, arity), ()):
+                key = args if every else tuple([args[s] for s in slots])
                 proj[key] = proj.get(key, 0) | 1 << i
         # walk whichever side is smaller: the group's solutions or the
         # distinct projections of the wanted atoms
@@ -322,32 +341,27 @@ class WantedSet:
                     out |= bits
         return out
 
-    def atoms_of(self, mask: int) -> set[Atom]:
-        out = set()
-        while mask:
-            low = mask & -mask
-            out.add(self.atoms[low.bit_length() - 1])
-            mask ^= low
-        return out
 
-
-def _hit_mask(cov: CandidateCoverage, wanted: WantedSet) -> int:
-    """The wanted atoms the candidate derives: the AND of its groups' masks."""
-    if not wanted or not cov.complete():
-        return 0
-    out = (1 << len(wanted)) - 1
-    # no early exit when the AND reaches zero: a mask is computed once per
-    # solve either way, and taking them all keeps that count exact
-    for group, union in zip(cov.candidate.groups, cov.group_unions):
-        out &= wanted.mask(group, union)
+def _derived(tables: CoverTables, wanted: WantedSet) -> list[int]:
+    """Per candidate, the wanted atoms it derives: the AND of its slotted
+    groups' masks, each mask computed once.  A group with no solutions
+    derives nothing."""
+    masks = [wanted.mask(s, u) if u else 0 for s, u in zip(tables.candidates.slotted, tables.unions)]
+    out = []
+    for uses in tables.candidates.uses:
+        got = -1  # every bit set; a candidate has at least one group
+        for i in uses:
+            got &= masks[i]
+        out.append(got)
     return out
 
 
-def covered_atoms(cov: CandidateCoverage, wanted: WantedSet) -> set[Atom]:
-    """Which of the wanted ground atoms the candidate covers."""
-    return wanted.atoms_of(_hit_mask(cov, wanted))
+def covers_any(tables: CoverTables, negatives: WantedSet) -> list[bool]:
+    """Per candidate, whether it derives any of the negatives: the
+    negative-safety check."""
+    return [got != 0 for got in _derived(tables, negatives)]
 
 
-def covers_any(cov: CandidateCoverage, wanted: WantedSet) -> bool:
-    """Whether the candidate covers any wanted atom: the negative-safety check."""
-    return _hit_mask(cov, wanted) != 0
+def covered_atoms(tables: CoverTables, positives: WantedSet) -> list[int]:
+    """Per candidate, the positives it derives, as a mask over ``positives.atoms``."""
+    return _derived(tables, positives)

@@ -131,9 +131,9 @@ def enumerate_clauses(bias: BiasSpec) -> Iterator[Clause]:
 
 
 @lru_cache(maxsize=8)
-def candidate_list(bias: BiasSpec) -> tuple[cover.Candidate, ...]:
-    """Compiled hypothesis space, cached per bias."""
-    return tuple(cover.compile_candidate(c, str(c)) for c in enumerate_clauses(bias))
+def candidate_list(bias: BiasSpec) -> cover.CandidateList:
+    """Compiled hypothesis space with its slotted groups numbered, cached per bias."""
+    return cover.CandidateList(cover.compile_candidate(c, str(c)) for c in enumerate_clauses(bias))
 
 
 @dataclass(frozen=True)
@@ -170,13 +170,6 @@ def verify(background: Program, hypothesis: Program, examples: ExampleSet) -> Ve
     return Verification(status=status, missed_positives=missed, covered_negatives=bad)
 
 
-def _wanted_by_pred(atoms: tuple[Atom, ...]) -> dict[tuple[str, int], cover.WantedSet]:
-    by_pred: dict[tuple[str, int], list[Atom]] = {}
-    for a in atoms:
-        by_pred.setdefault((a.predicate, a.arity), []).append(a)
-    return {key: cover.WantedSet(group) for key, group in by_pred.items()}
-
-
 def solve(
     background: Program,
     examples: ExampleSet,
@@ -207,40 +200,32 @@ def solve(
     if not missing:
         return done("hypothesis", Program.of(()))
 
-    uncovered = set(missing)
-    wanted_pos = _wanted_by_pred(missing)
-    wanted_neg = _wanted_by_pred(examples.negatives)
-    empty = cover.WantedSet(())
+    negatives = cover.WantedSet(examples.negatives)
+    positives = cover.WantedSet(missing)
+    tables = cover.coverage_tables(candidates, solved)
+    unsafe = cover.covers_any(tables, negatives)
+    derived = cover.covered_atoms(tables, positives)
+    safe = unsafe.count(False)
+    usable = [(cand, got) for cand, bad, got in zip(candidates, unsafe, derived) if not bad and got]
 
-    tables = cover.coverage_tables(list(candidates), solved)
-    usable: list[tuple[cover.Candidate, frozenset[Atom]]] = []
-    safe = 0
-    for cov in tables:
-        key = (cov.candidate.clause.head.predicate, cov.candidate.head_arity)
-        if cover.covers_any(cov, wanted_neg.get(key, empty)):
-            continue
-        safe += 1
-        got = cover.covered_atoms(cov, wanted_pos.get(key, empty))
-        if got:
-            usable.append((cov.candidate, frozenset(got)))
-
+    uncovered = (1 << len(positives)) - 1
     chosen: list[Clause] = []
     while uncovered:
         if len(chosen) >= bias.max_clauses:
             return done("no_hypothesis", None, safe)
         best = None
         best_key = None
-        for cand, covered in usable:
-            gain = len(covered & uncovered)
+        for cand, got in usable:
+            gain = (got & uncovered).bit_count()
             if gain == 0:
                 continue
             key = (-gain, cand.body_len, cand.text)
             if best_key is None or key < best_key:
-                best, best_key = (cand, covered), key
+                best, best_key = (cand, got), key
         if best is None:
             return done("no_hypothesis", None, safe)
         chosen.append(best[0].clause)
-        uncovered -= best[1]
+        uncovered &= ~best[1]
 
     hypothesis = Program.of(chosen)
     check = verify(background, hypothesis, examples)

@@ -372,13 +372,15 @@ class ExampleSet:
 
     def __post_init__(self) -> None:
         for a in (*self.positives, *self.negatives):
-            if not a.is_ground():
-                raise ValueError(f"example must be ground: {a}")
-        if len(set(self.positives)) != len(self.positives):
+            for t in a.args:
+                if t.kind != "const":
+                    raise ValueError(f"example must be ground: {a}")
+        pos, neg = set(self.positives), set(self.negatives)
+        if len(pos) != len(self.positives):
             raise ValueError("duplicate positive example")
-        if len(set(self.negatives)) != len(self.negatives):
+        if len(neg) != len(self.negatives):
             raise ValueError("duplicate negative example")
-        both = set(self.positives) & set(self.negatives)
+        both = pos & neg
         if both:
             raise ValueError(
                 "atom labeled both positive and negative: "

@@ -15,6 +15,7 @@ import pytest
 
 from hornpipe import cover
 from hornpipe.cover import (
+    CandidateList,
     CoverCache,
     WantedSet,
     compile_candidate,
@@ -57,6 +58,10 @@ PLANT_BIAS = parse_bias(
     "max_vars(4).\n"
     "max_body(2).\n"
 )
+
+
+def atoms_of(wanted: WantedSet, mask: int) -> set[Atom]:
+    return {a for i, a in enumerate(wanted.atoms) if mask >> i & 1}
 
 
 def exs(pos: list[Atom], neg: list[Atom]) -> ExampleSet:
@@ -137,11 +142,13 @@ def test_typed_positions_never_mix():
 def test_split_body_covers_across_components():
     b = parse_facts("cross_runway(a,r1).\nlanding_runway(b,r2).\n")
     clause = canonical(parse_clause("collision(X,Y):- cross_runway(X,R),landing_runway(Y,S)."))
-    cand = compile_candidate(clause, print_clause(clause))
-    assert len(cand.groups) == 2
-    (cov,) = coverage_tables([cand], CoverCache().solved(b, [cand]))
+    cands = CandidateList([compile_candidate(clause, print_clause(clause))])
+    assert len(cands.candidates[0].groups) == 2
+    tables = coverage_tables(cands, CoverCache().solved(b, cands))
     want = [atom("collision", "a", "b"), atom("collision", "b", "a")]
-    got = covered_atoms(cov, WantedSet(want))
+    wanted = WantedSet(want)
+    (mask,) = covered_atoms(tables, wanted)
+    got = atoms_of(wanted, mask)
     assert got == {atom("collision", "a", "b")}
     engine = coverage(b, Program.of([clause]), exs(want, []))
     assert got == set(engine.covered_pos)
@@ -203,20 +210,18 @@ def random_solver_instance(rng: random.Random) -> tuple[Program, ExampleSet]:
 
 
 def test_cover_path_matches_engine_on_random_instances():
-    candidates = [
+    candidates = CandidateList(
         compile_candidate(c, print_clause(c)) for c in enumerate_clauses(SMALL_BIAS)
-    ]
+    )
     rng = random.Random(20260301)
     for _ in range(40):
         background, ex = random_solver_instance(rng)
         tables = coverage_tables(candidates, CoverCache().solved(background, candidates))
         wanted = WantedSet((*ex.positives, *ex.negatives))
-        for cov in tables:
-            fast = covered_atoms(cov, wanted)
-            engine = coverage(background, Program.of([cov.candidate.clause]), ex)
-            assert fast == set(engine.covered_pos) | set(engine.covered_neg), (
-                cov.candidate.text
-            )
+        for cand, mask in zip(candidates, covered_atoms(tables, wanted)):
+            fast = atoms_of(wanted, mask)
+            engine = coverage(background, Program.of([cand.clause]), ex)
+            assert fast == set(engine.covered_pos) | set(engine.covered_neg), cand.text
 
 
 def two_pool_background(rng: random.Random) -> Program:
@@ -239,9 +244,9 @@ def two_pool_background(rng: random.Random) -> Program:
 def test_cover_path_matches_exhaustive_oracle_across_components():
     """Cover tables against ``oracles.naive_consequences``, which shares no
     code with the join kernel that both cover and the fixpoint engine run."""
-    candidates = [
+    candidates = CandidateList(
         compile_candidate(c, print_clause(c)) for c in enumerate_clauses(SMALL_BIAS)
-    ]
+    )
     assert sum(len(c.groups) > 1 for c in candidates) > len(candidates) // 2
     rng = random.Random(20261018)
     cross = 0
@@ -251,14 +256,20 @@ def test_cover_path_matches_exhaustive_oracle_across_components():
         every = [atom("h", x, y) for x in consts for y in consts]
         some = rng.sample(every, k=len(every) // 4)
         every_set, some_set = WantedSet(every), WantedSet(some)
-        for cov in coverage_tables(candidates, CoverCache().solved(background, candidates)):
-            model = naive_consequences(background, Program.of([cov.candidate.clause]))
+        tables = coverage_tables(candidates, CoverCache().solved(background, candidates))
+        for cand, every_mask, some_mask, some_hit in zip(
+            candidates,
+            covered_atoms(tables, every_set),
+            covered_atoms(tables, some_set),
+            covers_any(tables, some_set),
+        ):
+            model = naive_consequences(background, Program.of([cand.clause]))
             derived = {a for a in model if a.predicate == "h"}
             cross += sum(a.args[0].name[0] != a.args[1].name[0] for a in derived)
-            text = cov.candidate.text
-            assert covered_atoms(cov, every_set) == derived, text
-            assert covered_atoms(cov, some_set) == derived & set(some), text
-            assert covers_any(cov, some_set) == bool(derived & set(some)), text
+            text = cand.text
+            assert atoms_of(every_set, every_mask) == derived, text
+            assert atoms_of(some_set, some_mask) == derived & set(some), text
+            assert some_hit == bool(derived & set(some)), text
     assert cross  # some heads join groups bound in different components
 
 
@@ -275,19 +286,44 @@ def test_group_key_under_different_slots_scores_apart():
     background = parse_facts("p(a).\nq(a,b).\n")
     hit = atom("h", "a", "b")
     want = {cands[0].text: {hit}, cands[1].text: set()}
-    for order in (cands, cands[::-1]):
-        covs = coverage_tables(order, CoverCache().solved(background, order))
+    for order in (CandidateList(cands), CandidateList(cands[::-1])):
+        tables = coverage_tables(order, CoverCache().solved(background, order))
         negatives, positives = WantedSet([hit]), WantedSet([hit])
-        for cov in covs:
-            assert covers_any(cov, negatives) == bool(want[cov.candidate.text])
-            assert covered_atoms(cov, positives) == want[cov.candidate.text]
+        for cand, bad, mask in zip(order, covers_any(tables, negatives), covered_atoms(tables, positives)):
+            assert bad == bool(want[cand.text])
+            assert atoms_of(positives, mask) == want[cand.text]
+
+
+def test_head_predicates_score_apart():
+    """Wanted atoms are numbered across head predicates, so a slotted
+    group's mask must reach only atoms of its own head predicate and arity:
+    a negative ``g(a,b)`` leaves ``h(X,Y):- p(X,Y)`` safe although both
+    candidates' groups share a key and slots."""
+    bias = parse_bias("head_pred(h,2).\nhead_pred(g,2).\nbody_pred(p,2).\nmax_vars(2).\nmax_body(1).\n")
+    candidates = candidate_list(bias)
+    by_text = {c.text: i for i, c in enumerate(candidates)}
+    h, g = by_text["h(V0,V1):- p(V0,V1)."], by_text["g(V0,V1):- p(V0,V1)."]
+    (h_group,), (g_group,) = candidates.uses[h], candidates.uses[g]
+    assert h_group != g_group
+    # the same head slots and group key, under different heads
+    assert candidates.slotted[h_group][2:] == candidates.slotted[g_group][2:]
+    background = parse_facts("p(a,b).\n")
+    tables = coverage_tables(candidates, CoverCache().solved(background, candidates))
+    negatives = WantedSet([atom("g", "a", "b"), atom("h", "b", "a")])
+    positives = WantedSet([atom("h", "a", "b"), atom("g", "b", "a")])
+    unsafe, derived = covers_any(tables, negatives), covered_atoms(tables, positives)
+    assert (unsafe[h], unsafe[g]) == (False, True)
+    assert atoms_of(positives, derived[h]) == {atom("h", "a", "b")}
+    assert atoms_of(positives, derived[g]) == set()
+    res = solve(background, parse_examples("pos(h(a,b)).\nneg(g(a,b)).\n"), bias)
+    assert res.hypothesis == Program.of([parse_clause("h(V0,V1):- p(V0,V1).")])
 
 
 def test_wanted_set_reused_across_stores():
-    """A memoised mask belongs to the union it was computed from: one wanted
-    set scored against tables from different stores answers for each."""
+    """A wanted set keeps only what its atoms decide: one wanted set scored
+    against tables from different stores answers for each."""
     clause = canonical(parse_clause("h(X,Y):- p(X,Z),q(Z,Y)."))
-    cand = compile_candidate(clause, print_clause(clause))
+    cands = CandidateList([compile_candidate(clause, print_clause(clause))])
     wanted = WantedSet([atom("h", "a", "b")])
     cache = CoverCache()
     for facts, covered in (
@@ -295,9 +331,10 @@ def test_wanted_set_reused_across_stores():
         ("p(a,c).\nq(c,d).\n", False),
         ("p(a,c).\nq(c,b).\n", True),
     ):
-        (cov,) = coverage_tables([cand], cache.solved(parse_facts(facts), [cand]))
-        assert covers_any(cov, wanted) is covered
-        assert covered_atoms(cov, wanted) == ({atom("h", "a", "b")} if covered else set())
+        tables = coverage_tables(cands, cache.solved(parse_facts(facts), cands))
+        assert covers_any(tables, wanted) == [covered]
+        (mask,) = covered_atoms(tables, wanted)
+        assert atoms_of(wanted, mask) == ({atom("h", "a", "b")} if covered else set())
 
 
 def constants(background: Program) -> set[str]:
@@ -492,39 +529,40 @@ def test_cover_cache_shared_across_biases():
 
 
 def test_solve_scores_each_slotted_group_once(monkeypatch):
-    """One solve computes one hit mask per wanted set and distinct
-    ``(head_slots, key)`` among the candidates whose groups all have
-    solutions: the negatives' set over all of them, the positives' set over
-    the negative-safe ones."""
+    """One solve computes at most one hit mask per side (negatives, missing
+    positives) and distinct slotted group with solutions, never one per
+    candidate that carries the group."""
     computed = []
-    real_hits = cover.WantedSet._hits
+    real_mask = cover.WantedSet.mask
 
-    def counting_hits(self, slots, union):
-        computed.append(slots)
-        return real_hits(self, slots, union)
+    def counting_mask(self, slotted, union):
+        computed.append((id(self), slotted))
+        return real_mask(self, slotted, union)
 
-    monkeypatch.setattr(cover.WantedSet, "_hits", counting_hits)
+    monkeypatch.setattr(cover.WantedSet, "mask", counting_mask)
     background = parse_facts("p(a,b).\np(b,c).\nq(b,a).\nq(c,c).\nr(a).\nr(c).\n")
     ex = parse_examples("pos(h(a,b)).\npos(h(b,c)).\nneg(h(b,a)).\nneg(h(a,c)).\n")
     res = solve(background, ex, SMALL_BIAS)
+    assert res.outcome == "hypothesis"
 
-    def slotted(covs):
-        return {(g.head_slots, g.key) for cov in covs for g in cov.candidate.groups}
+    candidates = candidate_list(SMALL_BIAS)
+    unions = CoverCache().solved(background, candidates).unions
+    with_solutions = {s for s in candidates.slotted if s[3] in unions}
+    carried = [candidates.slotted[i] for uses in candidates.uses for i in uses]
+    # many candidates share a slotted group with solutions, so scoring per
+    # candidate would compute more masks than this test allows
+    assert len([s for s in carried if s in with_solutions]) > len(with_solutions)
+    sides = {side for side, _ in computed}
+    assert len(sides) == 2
+    for side in sides:
+        scored = [s for owner, s in computed if owner == side]
+        assert len(scored) == len(set(scored))
+        assert set(scored) <= with_solutions
 
-    candidates = list(candidate_list(SMALL_BIAS))
-    covs = coverage_tables(candidates, CoverCache().solved(background, candidates))
-    complete = [cov for cov in covs if cov.complete()]
-    safe = [
-        cov
-        for cov in complete
-        if not coverage(background, Program.of([cov.candidate.clause]), ex).covered_neg
-    ]
+    complete = [c for c in candidates if all(g.key in unions for g in c.groups)]
+    safe = [c for c in complete if not coverage(background, Program.of([c.clause]), ex).covered_neg]
     # a candidate with a group that has no solutions derives nothing
-    assert res.stats.candidates_negative_safe == len(safe) + len(covs) - len(complete)
-    # the bias has keys under more than one slot tuple, so a memo keyed by
-    # the key alone would compute fewer masks
-    assert len({key for _, key in slotted(complete)}) < len(slotted(complete))
-    assert len(computed) == len(slotted(complete)) + len(slotted(safe))
+    assert res.stats.candidates_negative_safe == len(safe) + len(candidates) - len(complete)
 
 
 def test_solve_deterministic():
