@@ -7,7 +7,7 @@ retries and per-example retraction on conflict), prunes rules by empirical
 support, and scores hypotheses by logical entailment on held-out scenarios.
 """
 
-from .entailment import consequences, coverage, entails, rule_support
+from .entailment import consequences, coverage, rule_support
 from .evalharness import (
     EvalReport,
     HypothesisDiff,
@@ -79,7 +79,6 @@ __all__ = [
     "const",
     "coverage",
     "diff_hypotheses",
-    "entails",
     "evaluate",
     "generate_corpus",
     "generate_scenarios",

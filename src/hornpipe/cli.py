@@ -40,8 +40,9 @@ from .reporting import (
     write_report_lines,
 )
 from .storage import (
-    load_corpus,
+    load_corpus_bias,
     load_scenario_dirs,
+    load_subsets,
     read_rules,
     write_corpus_bias,
     write_manifest,
@@ -102,10 +103,14 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, help="worker processes for subset checks")
 
 
-def _load_bias(args: argparse.Namespace, corpus_bias):
+def _load_corpus(args: argparse.Namespace):
+    """The bias, from ``--bias`` or else the corpus's own, and the corpus subsets."""
+    corpus_dir = Path(args.corpus_dir)
     if args.bias:
-        return parse_bias(Path(args.bias).read_text(encoding="utf-8"))
-    return corpus_bias
+        bias = parse_bias(Path(args.bias).read_text(encoding="utf-8"))
+    else:
+        bias = load_corpus_bias(corpus_dir)
+    return bias, load_subsets(corpus_dir)
 
 
 def _scenarios_from(path: str) -> list[Scenario]:
@@ -131,8 +136,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    bias, stored = load_corpus(Path(args.corpus_dir))
-    bias = _load_bias(args, bias)
+    bias, stored = _load_corpus(args)
     config = _pipeline_config(args)
     sources = [bundle_source_from_stored(s) for s in stored]
     outcomes, reliable, checks = run_checks(sources, bias, config)
@@ -151,8 +155,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_learn(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    bias, stored = load_corpus(Path(args.corpus_dir))
-    bias = _load_bias(args, bias)
+    bias, stored = _load_corpus(args)
     config = _pipeline_config(args)
     sources = [bundle_source_from_stored(s) for s in stored]
     report = run_pipeline(sources, bias, config)

@@ -13,13 +13,15 @@ unioned over components.
 
 Examples are scored once per slotted group per solve, not once per
 candidate.  A CandidateList, built once per bias, numbers the distinct
-slotted groups ``(head predicate, head arity, head_slots, key)`` and gives
-each candidate the indices of its own.  A solve reads each slotted group's
-union once, holds its negatives in one WantedSet and its missing positives
-in another, and computes one bitmask per slotted group and side: the
-wanted atoms of the group's head that its solutions reach.  A candidate's
-verdict is then one AND of its groups' masks: it covers a negative exactly
-when that AND is non-zero, and its covered positives are the set bits.
+slotted groups ``(head predicate, head arity, head_slots, key)``, gives
+each candidate the indices of its own, and holds each distinct group once,
+so a solve finds the groups the cache lacks without walking the candidates.
+A solve reads each slotted group's union once, holds its negatives in one
+WantedSet and its missing positives in another, and computes one bitmask
+per slotted group and side: the wanted atoms of the group's head that its
+solutions reach.  A candidate's verdict is then one AND of its groups'
+masks: it covers a negative exactly when that AND is non-zero, and its
+covered positives are the set bits.
 Results are exact: equivalence with the fixpoint engine and with exhaustive
 oracles is property-tested.
 
@@ -47,7 +49,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .entailment import CompiledRule, Fact, FactStore, atom_to_fact, background_facts, fire
-from .logic import Atom, Clause, Program
+from .logic import Atom, Clause, Program, connected_groups
 
 
 @dataclass(frozen=True)
@@ -84,36 +86,12 @@ def compile_candidate(clause: Clause, text: str) -> Candidate:
         raise ValueError(f"candidate head must have distinct variables: {clause}")
     head_slot = {v: i for i, v in enumerate(head_vars)}
 
-    # group body literals by shared existential variables
-    n = len(clause.body)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict = {}
-    for i, lit in enumerate(clause.body):
-        if any(t.is_const() for t in lit.args):
-            raise ValueError(f"candidate clauses must be constant-free: {clause}")
-        for v in lit.variables():
-            if v in head_slot:
-                continue
-            if v in owner:
-                ra, rb = find(i), find(owner[v])
-                if ra != rb:
-                    parent[ra] = rb
-            else:
-                owner[v] = i
-
-    members: dict[int, list[Atom]] = {}
-    for i in range(n):
-        members.setdefault(find(i), []).append(clause.body[i])
+    if any(t.is_const() for lit in clause.body for t in lit.args):
+        raise ValueError(f"candidate clauses must be constant-free: {clause}")
 
     groups = []
-    for lits in members.values():
+    # body literals grouped by shared existential variables
+    for lits in connected_groups(clause.body, lambda lit: [v for v in lit.args if v not in head_slot]):
         slots = tuple(sorted({head_slot[v] for lit in lits for v in lit.args if v in head_slot}))
         if not slots:
             # connectedness guarantees every group touches the head
@@ -135,7 +113,7 @@ def compile_candidate(clause: Clause, text: str) -> Candidate:
             )
         )
     groups.sort(key=lambda g: g.head_slots)
-    return Candidate(clause=clause, text=text, body_len=n, groups=tuple(groups))
+    return Candidate(clause=clause, text=text, body_len=len(clause.body), groups=tuple(groups))
 
 
 class _ComponentView:
@@ -143,7 +121,7 @@ class _ComponentView:
 
     __slots__ = ("key", "preds")
 
-    def __init__(self, facts: set[Fact]):
+    def __init__(self, facts: list[Fact]):
         self.key = frozenset(facts)
         self.preds = frozenset(pred for pred, _ in facts)
 
@@ -199,17 +177,17 @@ class CoverCache:
             table[group.key] = frozenset(args for _, args in heads)
         return table
 
-    def solved(self, background: Program, candidates: Iterable[Candidate]) -> SolvedBackground:
+    def solved(self, background: Program, candidates: CandidateList) -> SolvedBackground:
         """The background's solved form, with unions for every candidate group.
 
         The form is derived from the largest kept form whose background is a
         subset of this one, or from the empty form when none is.  A kept form
         of an equal background is that largest one, and is returned as is.
         """
-        fresh = {g.key: g for cand in candidates for g in cand.groups if g.key not in self.groups}
-        if fresh:
-            # kept forms have no unions for these groups
-            self.groups.update(fresh)
+        if not candidates.groups.keys() <= self.groups.keys():
+            # kept forms have no unions for the new groups
+            for key, group in candidates.groups.items():
+                self.groups.setdefault(key, group)
             self._kept.clear()
         clauses = background.clauses
         bases = (f for f in (*self._kept, _EMPTY) if f.clauses <= clauses)
@@ -260,13 +238,15 @@ class CandidateList:
     head arity, head_slots, key)``.  A group key omits the head slots, so
     ``h(X,Y):- p(X)`` and ``h(X,Y):- p(Y)`` share the key of ``p``'s group,
     and it omits the head, which decides the wanted atoms a mask may reach.
-    ``uses[i]`` indexes candidate i's slotted groups in ``slotted``.
+    ``uses[i]`` indexes candidate i's slotted groups in ``slotted``, and
+    ``groups`` maps each distinct group key to its group.
     """
 
-    __slots__ = ("candidates", "slotted", "uses")
+    __slots__ = ("candidates", "groups", "slotted", "uses")
 
     def __init__(self, candidates: Iterable[Candidate]):
         self.candidates = tuple(candidates)
+        self.groups = {g.key: g for c in self.candidates for g in c.groups}
         number: dict[Slotted, int] = {}
         self.uses = tuple(
             tuple(

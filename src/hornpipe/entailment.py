@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .logic import Atom, Clause, Program, Term, const
+from .logic import Atom, Clause, Program, Term, connected_groups, const
 
 # Engine representation: a fact is (predicate, (c1, ..., ck)) over plain
 # strings; compiled rules refer to arguments by int env slots.
@@ -140,30 +141,9 @@ class FactStore:
     def atoms(self) -> set[Atom]:
         return {fact_to_atom(f) for f in self.facts()}
 
-    def components(self) -> list[set[Fact]]:
-        """Constant-connected components, as the set of facts in each."""
-        parent: dict[str, str] = {}
-
-        def find(c: str) -> str:
-            root = c
-            while parent[root] != root:
-                root = parent[root]
-            while parent[c] != root:
-                parent[c], c = root, parent[c]
-            return root
-
-        for _, args in self.facts():
-            first = args[0]
-            parent.setdefault(first, first)
-            for other in args[1:]:
-                parent.setdefault(other, other)
-                ra, rb = find(first), find(other)
-                if ra != rb:
-                    parent[ra] = rb
-        groups: dict[str, set[Fact]] = {}
-        for f in self.facts():
-            groups.setdefault(find(f[1][0]), set()).add(f)
-        return list(groups.values())
+    def components(self) -> list[list[Fact]]:
+        """Constant-connected components, as the facts in each."""
+        return connected_groups(self.facts(), itemgetter(1))
 
 
 # --- rule compilation and join planning ----------------------------------------
@@ -370,13 +350,6 @@ def consequences(background: Program, hypothesis: Program) -> FactStore:
                 rows = delta.get((pred, len(args)))
                 if rows:
                     fire(rule, store, derived, i, rows)
-
-
-def entails(background: Program, hypothesis: Program, example: Atom) -> bool:
-    """True iff the example is in the least model.  Example must be ground."""
-    if not example.is_ground():
-        raise ValueError(f"entailment query must be ground: {example}")
-    return consequences(background, hypothesis).has_atom(example)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ ground atoms.  Rules are definite clauses whose heads are range-restricted
 (every head variable occurs in the body) and whose bodies are connected
 (the variable co-occurrence graph of the body, together with the head,
 forms a single component).
+
+``connected_groups`` is the one union-find of the package: the clause
+connectivity check, a candidate's body groups, a fact store's components
+and the generator's type inference all group items by shared keys with it.
 """
 
 from __future__ import annotations
@@ -14,11 +18,13 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 _PRED_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _CONST_RE = re.compile(r"(?:[a-z][A-Za-z0-9_]*|[0-9]+)\Z")
 _VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
+
+T = TypeVar("T")
 
 DEFAULT_MAX_VARS = 6
 DEFAULT_MAX_BODY = 4
@@ -113,7 +119,7 @@ class Clause:
         if missing:
             names = ",".join(sorted(v.name for v in missing))
             raise ValueError(f"head variable {names} not bound by the body")
-        if not _is_connected(self.head, self.body):
+        if len(connected_groups((self.head, *self.body), Atom.variables)) != 1:
             raise ValueError(f"body is not connected to the head: {self}")
 
     def is_fact(self) -> bool:
@@ -133,10 +139,15 @@ class Clause:
         return f"{self.head}:- {','.join(str(b) for b in self.body)}."
 
 
-def _is_connected(head: Atom, body: tuple[Atom, ...]) -> bool:
-    # Union-find over the literals; the head is node 0.
-    lits = [head, *body]
-    parent = list(range(len(lits)))
+def connected_groups(items: Iterable[T], keys: Callable[[T], Iterable[Hashable]]) -> list[list[T]]:
+    """The items grouped so that two share a group when a chain of shared
+    keys links them; an item with no keys is a group of its own.
+
+    Groups come in the order of their first item, and items keep input order
+    inside a group.
+    """
+    items = list(items)
+    parent = list(range(len(items)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -144,16 +155,16 @@ def _is_connected(head: Atom, body: tuple[Atom, ...]) -> bool:
             i = parent[i]
         return i
 
-    by_var: dict[Term, int] = {}
-    for i, lit in enumerate(lits):
-        for v in lit.variables():
-            if v in by_var:
-                ri, rj = find(i), find(by_var[v])
-                parent[ri] = rj
-            else:
-                by_var[v] = i
-    roots = {find(i) for i in range(len(lits))}
-    return len(roots) == 1
+    owner: dict[Hashable, int] = {}
+    for i, item in enumerate(items):
+        for k in keys(item):
+            j = owner.setdefault(k, i)
+            if j != i:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[T]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(find(i), []).append(item)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------

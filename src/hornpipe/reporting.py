@@ -40,17 +40,7 @@ def _check_lines(
         )
         for v in validation
     ]
-    lines += [
-        _line(
-            "subset_check",
-            subset_id=c.subset_id,
-            outcome=c.outcome,
-            reliable=c.reliable,
-            clause_count=c.clause_count,
-        )
-        for c in subset_checks
-    ]
-    return lines
+    return lines + [_line("subset_check", **asdict(c)) for c in subset_checks]
 
 
 def check_report_lines(
@@ -68,29 +58,8 @@ def pipeline_report_lines(report: PipelineReport, config: PipelineConfig) -> lis
         *_check_lines(report.validation, report.subset_checks),
     ]
     agg = report.aggregation
-    for t in agg.trials:
-        lines.append(
-            _line(
-                "trial",
-                trial=t.trial,
-                order=list(t.order),
-                accepted_count=t.accepted_count,
-                fail_frac=t.fail_frac,
-                success=t.success,
-            )
-        )
-    for d in agg.best.trial_log:
-        lines.append(
-            _line(
-                "decision",
-                trial=d.trial,
-                subset_id=d.subset_id,
-                action=d.action,
-                solver_outcome=d.solver_outcome,
-                removed_positives=list(d.removed_positives),
-                removed_negatives=list(d.removed_negatives),
-            )
-        )
+    lines += [_line("trial", **asdict(t)) for t in agg.trials]
+    lines += [_line("decision", **asdict(d)) for d in agg.best.trial_log]
     lines.append(
         _line(
             "aggregation",
@@ -100,8 +69,7 @@ def pipeline_report_lines(report: PipelineReport, config: PipelineConfig) -> lis
             pre_prune_rule_count=report.pre_prune_rule_count,
         )
     )
-    for r in report.pruning:
-        lines.append(_line("rule_support", rule=r.rule, support=r.support, kept=r.kept))
+    lines += [_line("rule_support", **asdict(r)) for r in report.pruning]
     lines.append(
         _line(
             "final",
@@ -123,34 +91,14 @@ def eval_report_lines(report: EvalReport) -> list[str]:
                 tags=list(s.tags),
             )
         )
-        for v in s.verdicts:
-            lines.append(
-                _line(
-                    "verdict",
-                    scenario_id=v.scenario_id,
-                    atom=v.atom,
-                    label=v.label,
-                    predicted=v.predicted,
-                    kind=v.kind,
-                )
-            )
+        lines += [_line("verdict", **asdict(v), kind=v.kind) for v in s.verdicts]
     lines.append(_line("metrics", **asdict(report.metrics)))
     return lines
 
 
 def diff_report_lines(diff: HypothesisDiff) -> list[str]:
     lines = [_line("schema", version=SCHEMA_VERSION, kind="diff")]
-    for d in diff.disagreements:
-        lines.append(
-            _line(
-                "disagreement",
-                scenario_id=d.scenario_id,
-                atom=d.atom,
-                label=d.label,
-                first_predicted=d.first_predicted,
-                second_predicted=d.second_predicted,
-            )
-        )
+    lines += [_line("disagreement", **asdict(d)) for d in diff.disagreements]
     lines.append(_line("metrics_first", **asdict(diff.first)))
     lines.append(_line("metrics_second", **asdict(diff.second)))
     lines.append(_line("metrics_delta", **diff.metric_deltas))

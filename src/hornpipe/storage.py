@@ -111,16 +111,18 @@ def write_corpus_bias(corpus_dir: Path, bias: BiasSpec) -> None:
     (corpus_dir / BIAS_FILE).write_text(print_bias(bias), encoding="utf-8")
 
 
-def load_corpus(corpus_dir: Path) -> tuple[BiasSpec, list[StoredSubset]]:
-    """Read a corpus directory; subsets come back in (timestamp, id) order."""
-    corpus_dir = Path(corpus_dir)
-    bias = parse_bias((corpus_dir / BIAS_FILE).read_text(encoding="utf-8"))
+def load_corpus_bias(corpus_dir: Path) -> BiasSpec:
+    return parse_bias((Path(corpus_dir) / BIAS_FILE).read_text(encoding="utf-8"))
+
+
+def load_subsets(corpus_dir: Path) -> list[StoredSubset]:
+    """Read a corpus directory's subsets in (timestamp, id) order."""
     subsets = []
-    for child in sorted(corpus_dir.iterdir()):
+    for child in sorted(Path(corpus_dir).iterdir()):
         if child.is_dir() and (child / BK_FILE).exists():
             subsets.append(read_subset(child))
     subsets.sort(key=lambda s: (s.timestamp, s.id))
-    return bias, subsets
+    return subsets
 
 
 def write_manifest(corpus_dir: Path, manifest: dict) -> None:

@@ -44,6 +44,7 @@ from .logic import (
     PredDecl,
     Program,
     Term,
+    connected_groups,
     const,
     print_clause,
 )
@@ -121,47 +122,22 @@ def _infer_types(rules: list[Clause]) -> dict[str, tuple[str, ...]]:
     Positions sharing a variable anywhere in the rules share a type; the
     resulting typing is the coarsest one consistent with the joins.
     """
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
     arity: dict[str, int] = {}
-    for clause in rules:
+    # (clause index, variable) pairs at each predicate position
+    uses: dict[tuple[str, int], list[tuple[int, Term]]] = {}
+    for n, clause in enumerate(rules):
         for lit in (clause.head, *clause.body):
             if arity.setdefault(lit.predicate, lit.arity) != lit.arity:
                 raise ValueError(f"predicate {lit.predicate} used at two arities")
-            for i in range(lit.arity):
-                find((lit.predicate, i))
-        by_var: dict[Term, tuple[str, int]] = {}
         for lit in (clause.head, *clause.body):
             for i, t in enumerate(lit.args):
                 if t.is_const():
                     raise ValueError(f"planted rules must be constant-free: {clause}")
-                if t in by_var:
-                    union(by_var[t], (lit.predicate, i))
-                else:
-                    by_var[t] = (lit.predicate, i)
+                uses.setdefault((lit.predicate, i), []).append((n, t))
 
-    names: dict[tuple[str, int], str] = {}
-    for pred in sorted(arity):
-        for i in range(arity[pred]):
-            root = find((pred, i))
-            if root not in names:
-                names[root] = f"t{len(names)}"
-    return {
-        pred: tuple(names[find((pred, i))] for i in range(arity[pred]))
-        for pred in sorted(arity)
-    }
+    groups = connected_groups(sorted(uses), uses.__getitem__)
+    names = {pos: f"t{n}" for n, group in enumerate(groups) for pos in group}
+    return {pred: tuple(names[pred, i] for i in range(arity[pred])) for pred in sorted(arity)}
 
 
 def _build_bias(rules: list[Clause], types: dict[str, tuple[str, ...]], idle_pred: str) -> BiasSpec:

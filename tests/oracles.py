@@ -156,3 +156,19 @@ def random_instance(
         except ValueError:
             continue
     return Program.of(Clause(a) for a in facts), Program.of(clauses)
+
+
+def linked_groups(keys: list[list]) -> list[list[int]]:
+    """Indices grouped by the transitive closure of "shares a key", grown to
+    a fixpoint over every pair; groups in order of their least index, each
+    group ascending."""
+    reach = [{i} for i in range(len(keys))]
+    changed = True
+    while changed:
+        changed = False
+        for linked in reach:
+            for j, mine in enumerate(keys):
+                if j not in linked and any(set(keys[i]) & set(mine) for i in linked):
+                    linked.add(j)
+                    changed = True
+    return [sorted(linked) for i, linked in enumerate(reach) if min(linked) == i]

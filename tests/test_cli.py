@@ -6,7 +6,7 @@ import pytest
 from hornpipe.cli import CONFIG_ENV, main
 from hornpipe.logic import print_clause
 from hornpipe.parsing import parse_rules
-from hornpipe.storage import load_corpus, load_manifest, read_rules
+from hornpipe.storage import load_manifest, load_subsets, read_rules
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -48,8 +48,7 @@ def test_gen_writes_a_loadable_corpus(tmp_path, capsys):
     out = _gen(tmp_path, subsets=8, corruption=0.25)
     stdout = capsys.readouterr().out
     assert "wrote 8 subsets" in stdout and "(2 corrupted)" in stdout
-    bias, subsets = load_corpus(out)
-    assert len(subsets) == 8
+    assert len(load_subsets(out)) == 8
     manifest = load_manifest(out)
     assert len(manifest["corrupted"]) == 2
     assert manifest["rules"] == [print_clause(c) for c in parse_rules(PLANT).rules()]
@@ -300,6 +299,27 @@ def test_check_names_missing_predicate(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "unknown predicate feeds/2" in stdout
     assert "validation: 0/6 bundles accepted" in stdout
+
+
+@pytest.mark.parametrize("breakage", ["missing", "malformed"])
+def test_bias_flag_does_not_read_the_corpus_bias(tmp_path, breakage):
+    corpus = _gen(tmp_path)
+    bias = tmp_path / "copy.bias"
+    bias.write_bytes((corpus / "bias.bias").read_bytes())
+
+    def reports(tag: str) -> list[bytes]:
+        check, learn = tmp_path / f"{tag}-check.jsonl", tmp_path / f"{tag}-learn"
+        flags = ["--corpus-dir", str(corpus), "--bias", str(bias), "--out"]
+        assert main(["check", *flags, str(check)]) == 0
+        assert main(["learn", *flags, str(learn)]) == 0
+        return [p.read_bytes() for p in (check, learn / "report.jsonl", learn / "final.rules")]
+
+    intact = reports("intact")
+    if breakage == "missing":
+        (corpus / "bias.bias").unlink()
+    else:
+        (corpus / "bias.bias").write_text("head_pred(goal,\n", encoding="utf-8")
+    assert reports(breakage) == intact
 
 
 def test_check_flags_corrupted_subsets(tmp_path, capsys):

@@ -14,7 +14,6 @@ from hornpipe.entailment import (
     compile_clause,
     consequences,
     coverage,
-    entails,
     rule_support,
 )
 from hornpipe.logic import Atom, Clause, ExampleSet, Program, atom, const, var
@@ -120,16 +119,15 @@ def test_consequences_rejects_rules_in_background():
 
 
 def test_entails_requires_ground_query():
-    b = prog("p(a,b).")
+    model = consequences(prog("p(a,b)."), Program.of([]))
     with pytest.raises(ValueError, match="ground"):
-        entails(b, Program.of([]), Atom("p", tuple(parse_clause("q(X,Y):- p(X,Y).").head.args)))
+        model.has_atom(Atom("p", tuple(parse_clause("q(X,Y):- p(X,Y).").head.args)))
 
 
 def test_entails_empty_hypothesis_is_background_membership():
-    b = prog("p(a,b).")
-    empty = Program.of([])
-    assert entails(b, empty, atom("p", "a", "b"))
-    assert not entails(b, empty, atom("p", "b", "a"))
+    model = consequences(prog("p(a,b)."), Program.of([]))
+    assert model.has_atom(atom("p", "a", "b"))
+    assert not model.has_atom(atom("p", "b", "a"))
 
 
 # --- oracle equivalence ------------------------------------------------------------

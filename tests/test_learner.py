@@ -155,9 +155,9 @@ def test_split_body_covers_across_components():
 
 
 def test_cover_cache_reused_across_stores():
-    candidates = [
+    candidates = CandidateList(
         compile_candidate(c, print_clause(c)) for c in enumerate_clauses(PLANT_BIAS)
-    ]
+    )
     cache = CoverCache()
     b1 = parse_facts("cross_runway(a,r1).\nlanding_runway(b,r1).\n")
     cache.solved(b1, candidates)
@@ -179,9 +179,9 @@ def test_shared_group_fires_once_per_component(monkeypatch):
         return real_fire(rule, store, out)
 
     monkeypatch.setattr(cover, "fire", counting_fire)
-    candidates = [
+    candidates = CandidateList(
         compile_candidate(c, print_clause(c)) for c in enumerate_clauses(SMALL_BIAS)
-    ]
+    )
     background = parse_facts("p(a,b).\np(b,c).\nr(c).\n")
     assert len(FactStore.from_program(background).components()) == 1
     slots = [g.rule for c in candidates for g in c.groups if g.preds <= {"p", "r"}]
@@ -433,7 +433,7 @@ def test_derived_solved_background_equals_a_fresh_one():
 
 
 def test_solved_has_atom_rejects_non_ground_atom():
-    form = CoverCache().solved(parse_facts("p(a,b).\n"), [])
+    form = CoverCache().solved(parse_facts("p(a,b).\n"), CandidateList([]))
     for args in ((var("X"), const("b")), (const("a"), var("Y"))):
         with pytest.raises(ValueError, match="ground"):
             form.has_atom(Atom("p", args))

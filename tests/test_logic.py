@@ -21,6 +21,7 @@ from hornpipe.logic import (
     Term,
     atom,
     canonical,
+    connected_groups,
     const,
     print_clause,
     print_program,
@@ -28,6 +29,8 @@ from hornpipe.logic import (
     var,
 )
 from hornpipe.parsing import parse_clause, parse_rules
+
+from oracles import linked_groups
 
 
 # --- oracle -----------------------------------------------------------------
@@ -274,6 +277,24 @@ def test_canonical_invariant_under_renaming_and_reordering():
 
         c2 = Clause(ren(c.head), tuple(ren(b) for b in perm))
         assert canonical(c) == canonical(c2)
+
+
+# --- connected groups -----------------------------------------------------------
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.lists(st.integers(min_value=0, max_value=7), max_size=3), max_size=12))
+def test_connected_groups_match_closure_oracle(keys):
+    """Groups, their order and the order inside each group all match a
+    brute-force closure of the shares-a-key relation."""
+    items = [f"item{i}" for i in range(len(keys))]
+    got = connected_groups(items, dict(zip(items, keys)).__getitem__)
+    assert got == [[items[i] for i in group] for group in linked_groups(keys)]
+
+
+def test_connected_groups_chain_links_through_a_later_item():
+    # items 0 and 1 share no key; item 2 links them, so all three group
+    groups = connected_groups(["a", "b", "c", "d"], {"a": [1], "b": [2], "c": [2, 1], "d": []}.get)
+    assert groups == [["a", "b", "c"], ["d"]]
 
 
 # --- printing round-trips -------------------------------------------------------

@@ -3,9 +3,10 @@ import pytest
 from hornpipe.parsing import parse_examples, parse_facts, parse_rules, print_bias
 from hornpipe.storage import (
     StoredSubset,
-    load_corpus,
+    load_corpus_bias,
     load_manifest,
     load_scenario_dirs,
+    load_subsets,
     parse_meta,
     print_meta,
     read_rules,
@@ -76,9 +77,8 @@ def test_corpus_loads_in_timestamp_then_id_order(tmp_path):
         ("s-d", "2024-01-02"),
     ]:
         write_subset(tmp_path, _subset(sid, stamp))
-    loaded_bias, subsets = load_corpus(tmp_path)
-    assert loaded_bias == bias
-    assert [s.id for s in subsets] == ["s-c", "s-b", "s-d", "s-a"]
+    assert load_corpus_bias(tmp_path) == bias
+    assert [s.id for s in load_subsets(tmp_path)] == ["s-c", "s-b", "s-d", "s-a"]
 
 
 def test_manifest_round_trip(tmp_path):
