@@ -341,6 +341,10 @@ class BiasSpec:
         ):
             if bound < 1:
                 raise ValueError(f"{name} must be positive, got {bound}")
+        # a predicate may be declared as head and as body; arity or type
+        # conflicts between the two raise here rather than at first use
+        self.vocabulary
+        self.types_by_predicate
 
     @cached_property
     def head_predicates(self) -> frozenset[str]:
@@ -413,11 +417,12 @@ class ExampleSet:
         return frozenset(self.positives)
 
     def check_predicates(self, bias: BiasSpec) -> None:
-        """Every example predicate must be a declared head predicate."""
+        """Every example must be an atom of a declared head predicate, at its arity."""
+        heads, vocab = bias.head_predicates, bias.vocabulary
         for a in (*self.positives, *self.negatives):
-            if a.predicate not in bias.head_predicates:
+            if a.predicate not in heads or vocab[a.predicate] != a.arity:
                 raise ValueError(
-                    f"example predicate {a.predicate} is not a declared head predicate"
+                    f"example predicate {a.predicate}/{a.arity} is not a declared head predicate"
                 )
 
     def __len__(self) -> int:

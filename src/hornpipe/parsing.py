@@ -24,7 +24,8 @@ from .logic import (
     term,
 )
 
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[0-9]+|:-|[(),.]")
+# one token, or the one character at which no token starts
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*|[0-9]+|:-|[(),.])|(.))")
 
 
 class ParseError(ValueError):
@@ -37,30 +38,22 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-def _statements(text: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, token list) per non-blank statement line."""
+def _statements(text: str) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Yield (line number, tokens) per non-blank statement line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("%", 1)[0].strip()
         if not line:
             continue
-        tokens = []
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(line, pos)
-            if not m:
-                raise ParseError(f"unexpected character {line[pos]!r}", lineno)
-            tokens.append(m.group())
-            pos = m.end()
+        tokens, bad = zip(*_TOKEN_RE.findall(line))
+        if any(bad):
+            raise ParseError(f"unexpected character {''.join(bad)[0]!r}", lineno)
         if tokens[-1] != ".":
             raise ParseError("unterminated clause (missing '.')", lineno)
         yield lineno, tokens
 
 
 class _Cursor:
-    def __init__(self, tokens: list[str], line: int):
+    def __init__(self, tokens: tuple[str, ...], line: int):
         self.tokens = tokens
         self.line = line
         self.i = 0
@@ -77,7 +70,9 @@ class _Cursor:
         self.i += 1
         return tok
 
-    def done(self) -> None:
+    def end(self) -> None:
+        """Take the closing '.', which must be the statement's last token."""
+        self.take(".")
         if self.i != len(self.tokens):
             raise ParseError(
                 f"trailing tokens after '.': {' '.join(self.tokens[self.i:])}",
@@ -106,24 +101,14 @@ def _parse_atom(cur: _Cursor) -> Atom:
 
 def _parse_clause_tokens(cur: _Cursor) -> Clause:
     head = _parse_atom(cur)
-    nxt = cur.take()
-    if nxt == ".":
-        cur.done()
-        try:
-            return Clause(head)
-        except ValueError as e:
-            raise ParseError(str(e), cur.line) from None
-    if nxt != ":-":
-        raise ParseError(f"expected ':-' or '.', found {nxt!r}", cur.line)
-    body = [_parse_atom(cur)]
-    while True:
-        nxt = cur.take()
-        if nxt == ".":
-            break
-        if nxt != ",":
-            raise ParseError(f"expected ',' or '.', found {nxt!r}", cur.line)
+    body: list[Atom] = []
+    while (nxt := cur.peek()) != ".":
+        sep = "," if body else ":-"
+        if nxt != sep:
+            raise ParseError(f"expected {sep!r} or '.', found {nxt!r}", cur.line)
+        cur.take()
         body.append(_parse_atom(cur))
-    cur.done()
+    cur.end()
     try:
         return Clause(head, tuple(body))
     except ValueError as e:
@@ -155,8 +140,7 @@ def parse_facts(text: str) -> Program:
     for line, tokens in _statements(text):
         cur = _Cursor(tokens, line)
         a = _parse_atom(cur)
-        cur.take(".")
-        cur.done()
+        cur.end()
         if not a.is_ground():
             raise ParseError(f"fact must be ground: {a}", line)
         facts.append(Clause(a))
@@ -170,8 +154,8 @@ def parse_examples(text: str) -> ExampleSet:
     example predicates are declared head predicates is for validation to
     check against the bias.
     """
-    pos: dict[Atom, None] = {}
-    neg: dict[Atom, None] = {}
+    pos: list[Atom] = []
+    neg: list[Atom] = []
     for line, tokens in _statements(text):
         cur = _Cursor(tokens, line)
         label = cur.take()
@@ -180,18 +164,14 @@ def parse_examples(text: str) -> ExampleSet:
         cur.take("(")
         inner = _parse_atom(cur)
         cur.take(")")
-        cur.take(".")
-        cur.done()
+        cur.end()
         if not inner.is_ground():
             raise ParseError(f"example must be ground: {inner}", line)
-        (pos if label == "pos" else neg).setdefault(inner)
-    overlap = set(pos) & set(neg)
-    if overlap:
-        raise ParseError(
-            "atom labeled both positive and negative: "
-            + ", ".join(sorted(str(a) for a in overlap))
-        )
-    return ExampleSet(tuple(pos), tuple(neg))
+        (pos if label == "pos" else neg).append(inner)
+    try:
+        return ExampleSet.of(pos, neg)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
 
 
 _BOUND_DIRECTIVES = ("max_vars", "max_body", "max_clauses")
@@ -202,13 +182,13 @@ def parse_bias(text: str) -> BiasSpec:
 
     Grammar: ``head_pred(p,k).``, ``body_pred(p,k).``, ``type(p,(t1,...,tk)).``,
     ``max_vars(n).``, ``max_body(n).``, ``max_clauses(n).``  Missing bounds
-    fall back to defaults (6 variables, 4 body literals, 20 clauses).
+    fall back to defaults (6 variables, 4 body literals, 20 clauses).  A
+    predicate may be declared both as head and as body, at one arity.
     """
     heads: dict[str, int] = {}
     bodies: dict[str, int] = {}
     types: dict[str, tuple[str, ...]] = {}
     bounds: dict[str, int] = {}
-    order: list[str] = []  # declaration order, heads and bodies interleaved
 
     for line, tokens in _statements(text):
         cur = _Cursor(tokens, line)
@@ -221,13 +201,11 @@ def parse_bias(text: str) -> BiasSpec:
             if not arity_tok.isdigit():
                 raise ParseError(f"expected an arity, found {arity_tok!r}", line)
             cur.take(")")
-            cur.take(".")
-            cur.done()
+            cur.end()
             table = heads if directive == "head_pred" else bodies
             if name in table:
                 raise ParseError(f"duplicate declaration: {directive}({name},...)", line)
             table[name] = int(arity_tok)
-            order.append(name)
         elif directive == "type":
             name = cur.take()
             cur.take(",")
@@ -238,8 +216,7 @@ def parse_bias(text: str) -> BiasSpec:
                 tys.append(cur.take())
             cur.take(")")
             cur.take(")")
-            cur.take(".")
-            cur.done()
+            cur.end()
             if name in types:
                 raise ParseError(f"duplicate type directive for {name}", line)
             types[name] = tuple(tys)
@@ -248,8 +225,7 @@ def parse_bias(text: str) -> BiasSpec:
             if not val.isdigit():
                 raise ParseError(f"expected an integer, found {val!r}", line)
             cur.take(")")
-            cur.take(".")
-            cur.done()
+            cur.end()
             if directive in bounds:
                 raise ParseError(f"duplicate directive: {directive}", line)
             bounds[directive] = int(val)
@@ -270,8 +246,8 @@ def parse_bias(text: str) -> BiasSpec:
 
     try:
         return BiasSpec(
-            head_decls=tuple(decl(n, heads[n]) for n in order if n in heads),
-            body_decls=tuple(decl(n, bodies[n]) for n in order if n in bodies),
+            head_decls=tuple(decl(n, k) for n, k in heads.items()),
+            body_decls=tuple(decl(n, k) for n, k in bodies.items()),
             max_vars=bounds.get("max_vars", DEFAULT_MAX_VARS),
             max_body=bounds.get("max_body", DEFAULT_MAX_BODY),
             max_clauses=bounds.get("max_clauses", DEFAULT_MAX_CLAUSES),

@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import learner
 from .cover import CoverCache
@@ -88,91 +88,64 @@ class ValidationOutcome:
     subset: SubsetInstance | None = None
 
 
-def _typed_constants(atoms, types_by_pred, constant_types, reasons) -> None:
+def _type_conflicts(atoms, types_by_pred) -> Iterator[str]:
+    """A reason for each ground atom that uses a constant at a second type."""
+    constant_types: dict[str, str] = {}
     for a in atoms:
-        types = types_by_pred.get(a.predicate)
-        if not types:
-            continue
-        for term, ty in zip(a.args, types):
-            if ty is None or not term.is_const():
-                continue
+        for term, ty in zip(a.args, types_by_pred.get(a.predicate) or ()):
             prev = constant_types.setdefault(term.name, ty)
             if prev != ty:
-                msg = f"type conflict: constant {term.name} used as {prev} and {ty}"
-                if msg not in reasons:
-                    reasons.append(msg)
+                yield f"type conflict: constant {term.name} used as {prev} and {ty}"
 
 
 def _check_bundle(bundle: RawBundle, bias: BiasSpec) -> tuple[SubsetInstance | None, list[str]]:
     reasons: list[str] = []
-    facts: list = []
-    for label, text in (
-        ("violation facts", bundle.violation_facts),
-        ("nominal facts", bundle.nominal_facts),
-    ):
+
+    def parsed(parse, label: str, text: str):
         try:
-            facts.extend(c.head for c in parse_facts(text))
+            return parse(text)
         except ParseError as e:
             reasons.append(f"{label}: {e}")
+            return None
 
-    pos_part = neg_part = None
-    try:
-        pos_part = parse_examples(bundle.violation_examples)
-    except (ParseError, ValueError) as e:
-        reasons.append(f"violation examples: {e}")
-    try:
-        neg_part = parse_examples(bundle.nominal_examples)
-    except (ParseError, ValueError) as e:
-        reasons.append(f"nominal examples: {e}")
+    violation_bk = parsed(parse_facts, "violation facts", bundle.violation_facts)
+    nominal_bk = parsed(parse_facts, "nominal facts", bundle.nominal_facts)
+    pos_part = parsed(parse_examples, "violation examples", bundle.violation_examples)
+    neg_part = parsed(parse_examples, "nominal examples", bundle.nominal_examples)
     if pos_part is not None and pos_part.negatives:
         reasons.append("negative example in violation-derived bundle")
     if neg_part is not None and neg_part.positives:
         reasons.append("positive example in nominal-derived bundle")
 
-    example_atoms = []
-    for part in (pos_part, neg_part):
-        if part is not None:
-            example_atoms.extend((*part.positives, *part.negatives))
+    facts = [c.head for bk in (violation_bk, nominal_bk) if bk is not None for c in bk]
+    example_atoms = [
+        a for part in (pos_part, neg_part) if part is not None for a in (*part.positives, *part.negatives)
+    ]
+    vocab, heads = bias.vocabulary, bias.head_predicates
+    flagged = [
+        f"unknown predicate {a.predicate}/{a.arity}"
+        for a in (*facts, *example_atoms)
+        if vocab.get(a.predicate) != a.arity
+    ]
+    flagged += [
+        f"example predicate is not a declared head predicate: {a.predicate}/{a.arity}"
+        for a in example_atoms
+        if a.predicate not in heads and vocab.get(a.predicate) == a.arity
+    ]
+    flagged += _type_conflicts((*facts, *example_atoms), bias.types_by_predicate)
+    reasons.extend(dict.fromkeys(flagged))
 
-    vocab = bias.vocabulary
-    flagged = set()
-    for a in (*facts, *example_atoms):
-        if vocab.get(a.predicate) != a.arity:
-            key = f"unknown predicate {a.predicate}/{a.arity}"
-            if key not in flagged:
-                flagged.add(key)
-                reasons.append(key)
-    for a in example_atoms:
-        if a.predicate not in bias.head_predicates and vocab.get(a.predicate) == a.arity:
-            key = f"example predicate is not a declared head predicate: {a.predicate}/{a.arity}"
-            if key not in flagged:
-                flagged.add(key)
-                reasons.append(key)
-
-    constant_types: dict[str, str] = {}
-    _typed_constants(facts, bias.types_by_predicate, constant_types, reasons)
-    _typed_constants(example_atoms, bias.types_by_predicate, constant_types, reasons)
-
-    examples = None
-    if pos_part is not None and neg_part is not None:
-        try:
-            examples = ExampleSet.of(pos_part.positives, neg_part.negatives)
-        except ValueError as e:
-            reasons.append(str(e))
-        if examples is not None and not examples.positives:
-            reasons.append("no positive example")
-
-    if reasons or examples is None:
+    if pos_part is None or neg_part is None:
         return None, reasons
-    return (
-        SubsetInstance(
-            id=bundle.id,
-            timestamp=bundle.timestamp,
-            background=Program.of(facts),
-            examples=examples,
-        ),
-        [],
-    )
+    try:
+        examples = ExampleSet(pos_part.positives, neg_part.negatives)
+    except ValueError as e:
+        return None, [*reasons, str(e)]
+    if not examples.positives:
+        reasons.append("no positive example")
+    if reasons:
+        return None, reasons
+    return SubsetInstance(bundle.id, bundle.timestamp, violation_bk.union(nominal_bk), examples), []
 
 
 def validate_bundle(source: BundleSource, bias: BiasSpec, attempts: int) -> ValidationOutcome:
@@ -325,23 +298,23 @@ def _acceptable(res: learner.SolverResult | None) -> bool:
 def retain_partial(
     state: AggregationState,
     subset: SubsetInstance,
+    background: Program,
     bias: BiasSpec,
-    cache: CoverCache | None = None,
+    cache: CoverCache,
 ):
     """Peel examples off a failed candidate until the union solves again.
 
-    Removal is cumulative, newest-parsed first, negatives before positives;
-    at least one of the candidate's own positives must survive.  Returns
-    (removed_pos, removed_neg, result, background, examples) or None when
-    every reduction fails.
+    `background` is the state's background unioned with the candidate's, as
+    the failed whole-subset attempt built it.  Removal is cumulative,
+    newest-parsed first, negatives before positives; at least one of the
+    candidate's own positives must survive.  Returns (removed_pos,
+    removed_neg, result, background, examples) or None when every reduction
+    fails.
     """
-    if cache is None:
-        cache = CoverCache()
     pos = list(subset.examples.positives)
     neg = list(subset.examples.negatives)
     removed_pos: list[Atom] = []
     removed_neg: list[Atom] = []
-    background = state.background.union(subset.background)
     while neg or len(pos) > 1:
         if neg:
             removed_neg.append(neg.pop())
@@ -427,7 +400,7 @@ def _run_trial(
         partial = not _acceptable(res)
         removed_pos = removed_neg = ()
         if partial:
-            reduced = retain_partial(state, subset, bias, cache)
+            reduced = retain_partial(state, subset, background, bias, cache)
             if reduced is None:
                 log.append(
                     CandidateDecision(

@@ -115,14 +115,14 @@ def load_corpus_bias(corpus_dir: Path) -> BiasSpec:
     return parse_bias((Path(corpus_dir) / BIAS_FILE).read_text(encoding="utf-8"))
 
 
+def _bundle_dirs(root: Path) -> list[Path]:
+    """The subdirectories of root that hold a bundle, in name order."""
+    return [d for d in sorted(Path(root).iterdir()) if d.is_dir() and (d / BK_FILE).exists()]
+
+
 def load_subsets(corpus_dir: Path) -> list[StoredSubset]:
     """Read a corpus directory's subsets in (timestamp, id) order."""
-    subsets = []
-    for child in sorted(Path(corpus_dir).iterdir()):
-        if child.is_dir() and (child / BK_FILE).exists():
-            subsets.append(read_subset(child))
-    subsets.sort(key=lambda s: (s.timestamp, s.id))
-    return subsets
+    return sorted(map(read_subset, _bundle_dirs(corpus_dir)), key=lambda s: (s.timestamp, s.id))
 
 
 def write_manifest(corpus_dir: Path, manifest: dict) -> None:
@@ -144,13 +144,9 @@ def write_scenario(
     examples: ExampleSet,
     tags: tuple[str, ...] = (),
 ) -> Path:
-    d = Path(scenarios_dir) / scenario_id
-    d.mkdir(parents=True, exist_ok=True)
-    (d / BK_FILE).write_text(print_program(background), encoding="utf-8")
-    (d / EXS_FILE).write_text(print_examples(examples), encoding="utf-8")
     meta = {"tags": ",".join(tags)} if tags else {}
-    (d / META_FILE).write_text(print_meta(meta), encoding="utf-8")
-    return d
+    stored = StoredSubset(scenario_id, print_program(background), print_examples(examples), meta)
+    return write_subset(Path(scenarios_dir), stored)
 
 
 def load_scenario_dir(d: Path) -> tuple[str, Program, ExampleSet, tuple[str, ...]]:
@@ -166,12 +162,7 @@ def load_scenario_dir(d: Path) -> tuple[str, Program, ExampleSet, tuple[str, ...
 
 
 def load_scenario_dirs(scenarios_dir: Path) -> list[tuple[str, Program, ExampleSet, tuple[str, ...]]]:
-    root = Path(scenarios_dir)
-    out = []
-    for child in sorted(root.iterdir()):
-        if child.is_dir() and (child / BK_FILE).exists():
-            out.append(load_scenario_dir(child))
-    return out
+    return [load_scenario_dir(d) for d in _bundle_dirs(scenarios_dir)]
 
 
 # ---------------------------------------------------------------------- rules

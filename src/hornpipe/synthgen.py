@@ -140,6 +140,17 @@ def _infer_types(rules: list[Clause]) -> dict[str, tuple[str, ...]]:
     return {pred: tuple(names[pred, i] for i in range(arity[pred])) for pred in sorted(arity)}
 
 
+def _planted(rules: Program) -> tuple[list[Clause], dict[str, tuple[str, ...]]]:
+    """The rules to plant and their inferred types, after the checks both
+    generators share: at least one rule, and binary heads."""
+    rules_list = rules.rules()
+    if not rules_list:
+        raise ValueError("need at least one planted rule")
+    if any(c.head.arity != 2 for c in rules_list):
+        raise ValueError("planted rules must have binary heads")
+    return rules_list, _infer_types(rules_list)
+
+
 def _build_bias(rules: list[Clause], types: dict[str, tuple[str, ...]], idle_pred: str) -> BiasSpec:
     heads: dict[str, PredDecl] = {}
     bodies: dict[str, PredDecl] = {}
@@ -200,36 +211,26 @@ def _ground(lits, mapping: dict[Term, str]) -> list[Atom]:
     ]
 
 
-def _instantiate_joined(lits, var_types: dict[Term, str], fresh: _Fresh) -> tuple[_Instance, dict[Term, str]]:
-    mapping: dict[Term, str] = {}
-    by_type: dict[str, list[str]] = {}
-    for lit in lits:
-        for t in lit.args:
-            if t not in mapping:
-                ty = var_types[t]
-                mapping[t] = fresh(ty)
-                by_type.setdefault(ty, []).append(mapping[t])
-    return _Instance(facts=_ground(lits, mapping), by_type=by_type), mapping
-
-
-def _instantiate_blocks(lits, blocks, var_types: dict[Term, str], fresh: _Fresh) -> _Instance:
-    """Ground the literals with joins kept inside blocks and severed across."""
+def _instantiate_blocks(
+    blocks, var_types: dict[Term, str], fresh: _Fresh
+) -> tuple[_Instance, list[dict[Term, str]]]:
+    """Ground each block of literals over fresh constants, with joins kept
+    inside a block and severed across blocks.  Also returns each block's
+    variable-to-constant mapping."""
     facts: list[Atom] = []
     by_type: dict[str, list[str]] = {}
+    mappings: list[dict[Term, str]] = []
     for block in blocks:
         mapping: dict[Term, str] = {}
-        for idx in block:
-            for t in lits[idx].args:
+        for lit in block:
+            for t in lit.args:
                 if t not in mapping:
                     ty = var_types[t]
                     mapping[t] = fresh(ty)
                     by_type.setdefault(ty, []).append(mapping[t])
-        facts.extend(_ground([lits[idx] for idx in block], mapping))
-    return _Instance(facts=facts, by_type=by_type)
-
-
-def _instantiate_decoupled(lits, var_types: dict[Term, str], fresh: _Fresh) -> _Instance:
-    return _instantiate_blocks(lits, tuple((i,) for i in range(len(lits))), var_types, fresh)
+        facts.extend(_ground(block, mapping))
+        mappings.append(mapping)
+    return _Instance(facts=facts, by_type=by_type), mappings
 
 
 def _partitions(n: int):
@@ -274,13 +275,13 @@ def _nominal_instances(clause: Clause, var_types, fresh: _Fresh, idle_pred: str,
             continue
         if light and len(blocks) != len(clause.body):
             continue
+        split = [[clause.body[i] for i in block] for block in blocks]
         for _ in range(twins):
-            out.append(_instantiate_blocks(clause.body, blocks, var_types, fresh))
+            out.append(_instantiate_blocks(split, var_types, fresh)[0])
     if not light:
         for rest in _drop_one_bodies(clause):
             for _ in range(twins):
-                inst, _m = _instantiate_joined(rest, var_types, fresh)
-                out.append(inst)
+                out.append(_instantiate_blocks([rest], var_types, fresh)[0])
     for _ in range(twins):
         a, b = fresh(idle_type), fresh(idle_type)
         out.append(
@@ -315,17 +316,12 @@ def generate_corpus(
     ``light`` shrinks each subset (single decoupled and idle patterns, no
     twins or drop-one variants) for bulk property testing.
     """
-    rules_list = rules.rules()
-    if not rules_list:
-        raise ValueError("need at least one planted rule")
-    if any(c.head.arity != 2 for c in rules_list):
-        raise ValueError("planted rules must have binary heads")
+    rules_list, types = _planted(rules)
     if not 0.0 <= corruption <= 1.0:
         raise ValueError("corruption must be within [0, 1]")
     if n_subsets < 1:
         raise ValueError("n_subsets must be positive")
 
-    types = _infer_types(rules_list)
     idle_pred = "idle"
     while idle_pred in types:
         idle_pred += "_x"
@@ -336,15 +332,15 @@ def generate_corpus(
     for i in range(n_subsets):
         clause = rules_list[i % len(rules_list)]
         var_types = _var_types(clause, types)
-        head_types = types[clause.head.predicate]
-        scene, mapping = _instantiate_joined(clause.body, var_types, fresh)
-        pos = Atom(clause.head.predicate, tuple(const(mapping[t]) for t in clause.head.args))
+        ty0, ty1 = types[clause.head.predicate]
+        scene, (mapping,) = _instantiate_blocks([clause.body], var_types, fresh)
+        (pos,) = _ground([clause.head], mapping)
 
         nominal_facts: list[Atom] = []
         negatives: list[Atom] = []
-        for inst in _nominal_instances(clause, var_types, fresh, idle_pred, head_types[0], light):
+        for inst in _nominal_instances(clause, var_types, fresh, idle_pred, ty0, light):
             nominal_facts.extend(inst.facts)
-            for x, y in inst.pairs(head_types[0], head_types[1] if len(head_types) > 1 else head_types[0]):
+            for x, y in inst.pairs(ty0, ty1):
                 negatives.append(Atom(pos.predicate, (const(x), const(y))))
 
         sub = GenSubset(
@@ -432,23 +428,17 @@ def generate_scenarios(rules: Program, n_scenarios: int, seed: int):
     pairs plus a decoupled pattern's pairs.  ``seed`` does not yet vary the
     scenes: every seed returns the same worlds with the same constants.
     """
-    rules_list = rules.rules()
-    if not rules_list:
-        raise ValueError("need at least one planted rule")
-    if any(c.head.arity != 2 for c in rules_list):
-        raise ValueError("planted rules must have binary heads")
-    types = _infer_types(rules_list)
+    rules_list, types = _planted(rules)
     fresh = _Fresh()
     fresh.n = 10**6  # scenario constants never collide with corpus constants
     out = []
     for i in range(n_scenarios):
         clause = rules_list[i % len(rules_list)]
         var_types = _var_types(clause, types)
-        head_types = types[clause.head.predicate]
-        ty0, ty1 = head_types[0], head_types[1] if len(head_types) > 1 else head_types[0]
+        ty0, ty1 = types[clause.head.predicate]
 
-        scene, mapping = _instantiate_joined(clause.body, var_types, fresh)
-        pos = Atom(clause.head.predicate, tuple(const(mapping[t]) for t in clause.head.args))
+        scene, (mapping,) = _instantiate_blocks([clause.body], var_types, fresh)
+        (pos,) = _ground([clause.head], mapping)
         pos_key = tuple(t.name for t in pos.args)
         facts = list(scene.facts)
         negatives = [
@@ -457,11 +447,11 @@ def generate_scenarios(rules: Program, n_scenarios: int, seed: int):
             if (x, y) != pos_key
         ]
         other = rules_list[(i + 1) % len(rules_list)]
-        decoy = _instantiate_decoupled(other.body, _var_types(other, types), fresh)
+        decoy, _ = _instantiate_blocks([(lit,) for lit in other.body], _var_types(other, types), fresh)
         facts.extend(decoy.facts)
         negatives.extend(
             Atom(other.head.predicate, (const(x), const(y)))
-            for x, y in decoy.pairs(*_head_pair_types(other, types))
+            for x, y in decoy.pairs(*types[other.head.predicate])
         )
 
         examples = ExampleSet.of((pos,), negatives)
@@ -471,11 +461,6 @@ def generate_scenarios(rules: Program, n_scenarios: int, seed: int):
             raise ValueError(f"scenario {i} is not faithful to the planted rules")
         out.append((f"scn-{i:04d}", background, examples, ("generated", f"pattern-{i % len(rules_list)}")))
     return out
-
-
-def _head_pair_types(clause: Clause, types) -> tuple[str, str]:
-    ht = types[clause.head.predicate]
-    return ht[0], ht[1] if len(ht) > 1 else ht[0]
 
 
 # ------------------------------------------------------------- random rules

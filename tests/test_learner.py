@@ -496,6 +496,14 @@ def test_solve_rejects_negative_present_as_fact():
     assert res.outcome == "no_hypothesis"
 
 
+def test_solve_rejects_example_at_undeclared_arity():
+    # collision is declared at arity 2; an example at arity 1 is a caller
+    # error, not a run that found no hypothesis
+    ex = parse_examples("pos(collision(a)).\n")
+    with pytest.raises(ValueError, match="collision/1"):
+        solve(plant_background(), ex, PLANT_BIAS)
+
+
 def test_solve_ignores_the_clock(monkeypatch):
     """The outcome depends on the evidence alone: a clock that leaps 1000 s
     at every read changes nothing."""

@@ -94,6 +94,11 @@ def test_parse_clause_rejects_disconnected_body():
         parse_clause("collision(A,B):- cross_runway(A,R),landing_runway(B,R),same_runway(S,T).")
 
 
+def test_unexpected_character_is_the_first_one_on_the_line():
+    with pytest.raises(ParseError, match=r"line 2: unexpected character '#'"):
+        parse_facts("p(a).\np(a#,b!).\n")
+
+
 def test_parse_examples():
     es = parse_examples("pos(collision(a1,a2)).\nneg(collision(a2,a1)).\n")
     assert es.positives == (atom("collision", "a1", "a2"),)
@@ -123,6 +128,18 @@ def test_parse_bias_defaults():
 def test_parse_bias_duplicate_declaration():
     with pytest.raises(ParseError, match="duplicate"):
         parse_bias("head_pred(c,2).\nhead_pred(c,2).\n")
+
+
+def test_parse_bias_head_and_body_declaration_of_one_predicate():
+    bias = parse_bias("head_pred(p,2).\nbody_pred(p,2).\nbody_pred(q,2).\n")
+    assert [d.predicate for d in bias.head_decls] == ["p"]
+    assert [d.predicate for d in bias.body_decls] == ["p", "q"]
+    assert bias.vocabulary == {"p": 2, "q": 2}
+
+
+def test_parse_bias_head_and_body_arities_must_agree():
+    with pytest.raises(ParseError, match="conflicting arities declared for p"):
+        parse_bias("head_pred(p,2).\nbody_pred(p,1).\n")
 
 
 def test_parse_bias_type_arity_mismatch():

@@ -280,7 +280,8 @@ def test_retain_partial_peels_contradicting_positive():
     ).best
     # second positive contradicts the accepted negative label for goal(b,a)
     b = _subset("b", "2024-01-02", "q(c,d).\n", "pos(goal(c,d)).\npos(goal(b,a)).\n")
-    reduced = retain_partial(state_a, b, TEST_BIAS)
+    union = state_a.background.union(b.background)
+    reduced = retain_partial(state_a, b, union, TEST_BIAS, CoverCache())
     assert reduced is not None
     removed_pos, removed_neg, res, background, examples = reduced
     kept_pos = examples.positives[len(state_a.examples.positives) :]

@@ -1,9 +1,14 @@
+import hashlib
+import json
 import random
+from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 
 from hornpipe.entailment import coverage
-from hornpipe.parsing import parse_rules
+from hornpipe.logic import print_program
+from hornpipe.parsing import parse_rules, print_bias, print_examples
 from hornpipe.pipeline import validate_bundle
 from hornpipe.synthgen import (
     GeneratedCorpus,
@@ -13,6 +18,9 @@ from hornpipe.synthgen import (
     sample_rules,
 )
 
+PLANTED = parse_rules(
+    (Path(__file__).resolve().parent.parent / "data" / "planted_rules.rules").read_text(encoding="utf-8")
+)
 CHAIN = parse_rules("goal(V0,V1):- link(V0,V2),feeds(V2,V1).\n")
 TWO_RULES = parse_rules(
     "goal(V0,V1):- link(V0,V2),feeds(V2,V1).\n"
@@ -152,3 +160,37 @@ def test_rejects_bad_arguments():
     unary_head = parse_rules("flag(V0):- marked(V0),feeds(V0,V1).\n")
     with pytest.raises(ValueError):
         generate_corpus(unary_head, n_subsets=3, corruption=0.0, seed=0)
+
+
+# SHA-256 over everything the generator emits for a fixed set of inputs.  A
+# refactor of the generator must leave it alone; a change meant to alter the
+# corpora updates it and says why.
+GENERATOR_DIGEST = "d846a41ba5483c52c78b7a40abe03811a93d5b09a503038523647ff484b10e92"
+
+
+def _generator_digest() -> str:
+    h = hashlib.sha256()
+
+    def feed(*parts: str) -> None:
+        for part in parts:
+            h.update(part.encode("utf-8"))
+            h.update(b"\0")
+
+    rule_sets = [PLANTED] + [sample_rules(random.Random(s), n_rules=1 + s % 3) for s in range(60)]
+    for n, rules in enumerate(rule_sets):
+        for light in (False, True):
+            corruptions = (0.0, 0.2, 0.5) if n == 0 else ((0.0, 0.2, 0.5)[n % 3],)
+            for corruption in corruptions:
+                corpus = generate_corpus(rules, 10 if n == 0 else 5, corruption, seed=n, light=light)
+                feed(print_bias(corpus.bias), json.dumps(corpus.manifest, sort_keys=True))
+                for sub in corpus.subsets:
+                    stored = sub.stored()
+                    feed(*astuple(sub.raw_bundle()), stored.id, stored.facts_text, stored.examples_text)
+                    feed(json.dumps(stored.meta, sort_keys=True))
+        for sid, background, examples, tags in generate_scenarios(rules, 4, n):
+            feed(sid, print_program(background), print_examples(examples), *tags)
+    return h.hexdigest()
+
+
+def test_generator_output_digest_is_stable():
+    assert _generator_digest() == GENERATOR_DIGEST
