@@ -70,7 +70,6 @@ class Candidate:
     """A compiled hypothesis-space clause."""
 
     clause: Clause
-    text: str
     body_len: int
     groups: tuple[Group, ...]
 
@@ -78,42 +77,10 @@ class Candidate:
     def head_arity(self) -> int:
         return self.clause.head.arity
 
-
-def compile_candidate(clause: Clause, text: str) -> Candidate:
-    head = clause.head
-    head_vars = list(head.args)
-    if len(set(head_vars)) != len(head_vars) or any(t.is_const() for t in head_vars):
-        raise ValueError(f"candidate head must have distinct variables: {clause}")
-    head_slot = {v: i for i, v in enumerate(head_vars)}
-
-    if any(t.is_const() for lit in clause.body for t in lit.args):
-        raise ValueError(f"candidate clauses must be constant-free: {clause}")
-
-    groups = []
-    # body literals grouped by shared existential variables
-    for lits in connected_groups(clause.body, lambda lit: [v for v in lit.args if v not in head_slot]):
-        slots = tuple(sorted({head_slot[v] for lit in lits for v in lit.args if v in head_slot}))
-        if not slots:
-            # connectedness guarantees every group touches the head
-            raise ValueError(f"group without head variables in {clause}")
-        # the group rule's head variables are numbered by position, the others
-        # by first occurrence; the arity prefix keeps h(V0):- p(V0,V1) and
-        # h(V0,V1):- p(V0,V1) apart
-        num = {head_vars[s]: i for i, s in enumerate(slots)}
-        body = ",".join(
-            f"{lit.predicate}({','.join(str(num.setdefault(v, len(num))) for v in lit.args)})"
-            for lit in lits
-        )
-        groups.append(
-            Group(
-                head_slots=slots,
-                preds=frozenset(lit.predicate for lit in lits),
-                rule=Clause(Atom(head.predicate, tuple(head_vars[s] for s in slots)), tuple(lits)),
-                key=f"{len(slots)}:{body}",
-            )
-        )
-    groups.sort(key=lambda g: g.head_slots)
-    return Candidate(clause=clause, text=text, body_len=len(clause.body), groups=tuple(groups))
+    @cached_property
+    def text(self) -> str:
+        # read only for the candidates a solve can pick
+        return str(self.clause)
 
 
 class _ComponentView:
@@ -240,28 +207,76 @@ class CandidateList:
     and it omits the head, which decides the wanted atoms a mask may reach.
     ``uses[i]`` indexes candidate i's slotted groups in ``slotted``, and
     ``groups`` maps each distinct group key to its group.
+
+    Each clause's body is split into groups and each group numbered on
+    integers; a slotted group is built once, at its first candidate, and
+    the candidates that carry it share it.
     """
 
     __slots__ = ("candidates", "groups", "slotted", "uses")
 
-    def __init__(self, candidates: Iterable[Candidate]):
+    def __init__(self, clauses: Iterable[Clause]):
+        # a slotted group's numbered content -> its index and group
+        shared: dict[tuple, tuple[int, Group]] = {}
+        candidates = []
+        uses = []
+        for clause in clauses:
+            mine = []
+            for content, lits in _split(clause):
+                hit = shared.get(content)
+                if hit is None:
+                    hit = shared[content] = (len(shared), _group(clause.head, content, lits))
+                mine.append(hit)
+            candidates.append(Candidate(clause, len(clause.body), tuple(g for _, g in mine)))
+            uses.append(tuple(i for i, _ in mine))
         self.candidates = tuple(candidates)
-        self.groups = {g.key: g for c in self.candidates for g in c.groups}
-        number: dict[Slotted, int] = {}
-        self.uses = tuple(
-            tuple(
-                number.setdefault((c.clause.head.predicate, c.head_arity, g.head_slots, g.key), len(number))
-                for g in c.groups
-            )
-            for c in self.candidates
-        )
-        self.slotted = tuple(number)
+        self.uses = tuple(uses)
+        self.slotted: tuple[Slotted, ...] = tuple((*content[:3], g.key) for content, (_, g) in shared.items())
+        self.groups: dict[str, Group] = {}
+        for _, g in shared.values():
+            self.groups.setdefault(g.key, g)
 
     def __len__(self) -> int:
         return len(self.candidates)
 
     def __iter__(self) -> Iterator[Candidate]:
         return iter(self.candidates)
+
+
+def _split(clause: Clause) -> list[tuple[tuple, tuple[Atom, ...]]]:
+    """The clause's body groups ordered by head slots, each as its numbered
+    content ``(head predicate, head arity, head_slots, literals)`` and its
+    literals."""
+    head = clause.head
+    head_vars = head.args
+    head_slot = {v: i for i, v in enumerate(head_vars)}
+    if len(head_slot) != len(head_vars) or any(t.is_const() for t in head_vars):
+        raise ValueError(f"candidate head must have distinct variables: {clause}")
+    if any(t.is_const() for lit in clause.body for t in lit.args):
+        raise ValueError(f"candidate clauses must be constant-free: {clause}")
+
+    parts = []
+    # body literals grouped by shared existential variables
+    for lits in connected_groups(clause.body, lambda lit: [v for v in lit.args if v not in head_slot]):
+        slots = tuple(sorted({head_slot[v] for lit in lits for v in lit.args if v in head_slot}))
+        if not slots:
+            # connectedness guarantees every group touches the head
+            raise ValueError(f"group without head variables in {clause}")
+        # the group rule's head variables are numbered by position, the others
+        # by first occurrence
+        num = {head_vars[s]: i for i, s in enumerate(slots)}
+        body = tuple((lit.predicate, tuple([num.setdefault(v, len(num)) for v in lit.args])) for lit in lits)
+        parts.append(((head.predicate, len(head_vars), slots, body), tuple(lits)))
+    parts.sort(key=lambda part: part[0][2])
+    return parts
+
+
+def _group(head: Atom, content: tuple, lits: tuple[Atom, ...]) -> Group:
+    _, _, slots, body = content
+    # the arity prefix keeps h(V0):- p(V0,V1) and h(V0,V1):- p(V0,V1) apart
+    key = f"{len(slots)}:" + ",".join(f"{pred}({','.join(map(str, args))})" for pred, args in body)
+    rule = Clause(Atom(head.predicate, tuple(head.args[s] for s in slots)), lits)
+    return Group(slots, frozenset(pred for pred, _ in body), rule, key)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,18 @@ variables, type-consistent argument use, range-restricted and connected,
 one entry per renaming-equivalence class.  The stream is ordered by body
 length, then canonical text.
 
+Each class is made once, already in canonical form, so no body is
+canonicalised and none deduped.  A canonical body lists its predicates in
+sorted order, which is the order predicate combinations are drawn in, and
+numbers its variables by first occurrence, which is the restricted growth
+the variable assignments are drawn in.  A body whose predicates are all
+distinct has one such order, so each connected assignment is canonical and
+no two are renamings of each other.  Where a predicate repeats, an
+assignment is kept only if no reordering of its literals reads less
+(``logic.least_order``), and bodies that repeat a literal are skipped.
+Bodies are checked on integer literals, and atoms and clauses are built
+only for the clauses kept.
+
 solve() keeps the clauses that derive no negative example and at least one
 positive, then greedily picks clauses until all positives are covered.
 Ties fall to fewer body literals, then canonical text.  The result is
@@ -32,13 +44,15 @@ from .logic import (
     BiasSpec,
     Clause,
     ExampleSet,
+    Literal,
     PredDecl,
     Program,
-    canonical,
+    connected_groups,
+    least_order,
     var,
 )
 
-_VAR_NAMES = [f"V{i}" for i in range(64)]
+_VARS = tuple(var(f"V{i}") for i in range(64))
 
 
 def _typed_positions(decl: PredDecl) -> tuple[str | None, ...]:
@@ -97,29 +111,39 @@ def _clauses_of_length(bias: BiasSpec, head: PredDecl, length: int) -> list[Clau
         return []
     body_decls = [d for d in bias.body_decls if d.predicate not in bias.head_predicates]
     body_decls.sort(key=lambda d: (d.predicate, d.arity))
-    head_atom = Atom(head.predicate, tuple(var(_VAR_NAMES[i]) for i in range(head.arity)))
+    n_head = head.arity
+    head_atom = Atom(head.predicate, _VARS[:n_head])
     head_types = _typed_positions(head)
+    atoms: dict[Literal, Atom] = {}
 
-    out: dict[str, Clause] = {}
+    out = []
     for combo in itertools.combinations_with_replacement(body_decls, length):
         slots = tuple(t for d in combo for t in _typed_positions(d))
-        if len(slots) < head.arity:
+        if len(slots) < n_head:
             continue
-        for assignment in _assignments(slots, head.arity, head_types, bias.max_vars):
+        repeats = len(set(combo)) < length
+        starts = list(itertools.accumulate((d.arity for d in combo), initial=0))
+        for assignment in _assignments(slots, n_head, head_types, bias.max_vars):
+            body = [(d.predicate, assignment[i : i + d.arity]) for d, i in zip(combo, starts)]
+            # connected: the head's variables and the literals' arguments
+            # form one group of shared variables
+            if len(connected_groups([range(n_head), *(args for _, args in body)], lambda args: args)) > 1:
+                continue
+            # predicates in sorted order and variables numbered by first use
+            # make the body canonical unless a repeated predicate's literals
+            # read less in another order
+            if repeats and (
+                len(set(body)) < length or least_order(body, n_head, bias.max_vars, body) is None
+            ):
+                continue
             lits = []
-            i = 0
-            for d in combo:
-                args = tuple(var(_VAR_NAMES[v]) for v in assignment[i : i + d.arity])
-                i += d.arity
-                lits.append(Atom(d.predicate, args))
-            if len(set(lits)) != len(lits):
-                continue
-            try:
-                clause = canonical(Clause(head_atom, tuple(lits)))
-            except ValueError:  # disconnected body
-                continue
-            out.setdefault(str(clause), clause)
-    return list(out.values())
+            for lit in body:
+                a = atoms.get(lit)
+                if a is None:
+                    a = atoms[lit] = Atom(lit[0], tuple(_VARS[v] for v in lit[1]))
+                lits.append(a)
+            out.append(Clause(head_atom, tuple(lits)))
+    return out
 
 
 def enumerate_clauses(bias: BiasSpec) -> Iterator[Clause]:
@@ -133,7 +157,7 @@ def enumerate_clauses(bias: BiasSpec) -> Iterator[Clause]:
 @lru_cache(maxsize=8)
 def candidate_list(bias: BiasSpec) -> cover.CandidateList:
     """Compiled hypothesis space with its slotted groups numbered, cached per bias."""
-    return cover.CandidateList(cover.compile_candidate(c, str(c)) for c in enumerate_clauses(bias))
+    return cover.CandidateList(enumerate_clauses(bias))
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
-_PRED_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
+PRED_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _CONST_RE = re.compile(r"(?:[a-z][A-Za-z0-9_]*|[0-9]+)\Z")
 _VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
@@ -37,6 +37,11 @@ class Term:
 
     kind: str  # "const" | "var"
     name: str
+
+    def __hash__(self) -> int:
+        # equal terms have equal names, and a string caches its hash, so
+        # this costs less than hashing a (kind, name) tuple on every lookup
+        return hash(self.name)
 
     def is_var(self) -> bool:
         return self.kind == "var"
@@ -73,7 +78,7 @@ class Atom:
     args: tuple[Term, ...]
 
     def __post_init__(self) -> None:
-        if not _PRED_RE.match(self.predicate):
+        if not PRED_RE.match(self.predicate):
             raise ValueError(f"bad predicate name: {self.predicate!r}")
         if not isinstance(self.args, tuple) or not self.args:
             raise ValueError("atom needs a non-empty tuple of args")
@@ -90,7 +95,7 @@ class Atom:
 
     def variables(self) -> list[Term]:
         """Variables in argument order, with repeats."""
-        return [a for a in self.args if a.is_var()]
+        return [a for a in self.args if a.kind == "var"]
 
     def __str__(self) -> str:
         return f"{self.predicate}({','.join(a.name for a in self.args)})"
@@ -170,21 +175,85 @@ def connected_groups(items: Iterable[T], keys: Callable[[T], Iterable[Hashable]]
 # ---------------------------------------------------------------------------
 # Canonical form
 
-def _arg_key(t: Term, renaming: dict[Term, int]):
-    if t.is_var():
-        return (0, renaming[t], "")
-    return (1, 0, t.name)
+Literal = tuple[str, tuple[int, ...]]  # predicate, integer arguments
 
 
-def _state(remaining: tuple[Atom, ...], renaming: dict[Term, int], once: set[Term]) -> tuple:
-    """The unplaced literals as a sorted multiset.  An argument is written
-    as its index if placed, as a wildcard if it is a variable used once in
-    the clause outside the head, and as itself otherwise."""
+def least_order(
+    body: Sequence[Literal], n_head: int, n_vars: int, bound: Sequence[Literal] | None = None
+) -> tuple[tuple[int, ...], list[int]] | None:
+    """The body order whose numbering reads least, searched one position at
+    a time.
 
-    def arg(t: Term) -> tuple:
-        return (0, renaming[t]) if t in renaming else (1,) if t in once else (2, t.kind, t.name)
+    An argument below ``n_vars`` is a variable, and the first ``n_head`` of
+    them are the head's, numbered 0.. in that order.  An argument at or above
+    ``n_vars`` is a constant; constants compare as their codes do, after
+    every variable.  Reading the body in some order numbers each other
+    variable at its first occurrence, and writes each literal as its key:
+    the predicate and the numbered arguments.  The least order is the one
+    whose key sequence is least.
 
-    return tuple(sorted((lit.predicate, tuple(map(arg, lit.args))) for lit in remaining))
+    A literal's key depends only on the literals placed before it, so the
+    least sequence starts with the least key any literal can take next; the
+    search keeps every partial order that reaches that key (ties) and
+    extends only those.  Tied partial orders whose unplaced literals read the
+    same (see ``state``) have the same futures, so only one of them is kept;
+    that keeps bodies of interchangeable literals from taking factorial time.
+
+    Returns the least order as indices into ``body`` and the number of each
+    variable in it.  Given ``bound``, a key sequence that some order reads,
+    returns None as soon as an order reads less than it.
+    """
+    start = list(range(n_head)) + [-1] * (n_vars - n_head)
+    # partial orders tied for the least key prefix: (order, remaining, numbering, next number)
+    frontier = [((), tuple(range(len(body))), start, n_head)]
+    once: set[int] | None = None  # single-use body variables, built at the first tie
+
+    def state(remaining: tuple[int, ...], number: list[int]) -> tuple:
+        """The unplaced literals as a sorted multiset.  A variable is written
+        as its number if placed, as a wildcard (-1) if it is used once in the
+        clause outside the head, and as itself (below -1) otherwise."""
+
+        def arg(a: int) -> int:
+            if a >= n_vars:
+                return a  # a constant
+            if number[a] >= 0:
+                return number[a]
+            return -1 if a in once else -2 - a
+
+        return tuple(sorted((body[i][0], tuple(map(arg, body[i][1]))) for i in remaining))
+
+    for pos in range(len(body)):
+        least: Literal | None = None
+        options: list = []
+        for order, remaining, number, used in frontier:
+            for j, i in enumerate(remaining):
+                pred, args = body[i]
+                if least is not None and pred > least[0]:
+                    continue  # keys compare by predicate first
+                ext, nxt = number, used
+                for a in args:
+                    if a < n_vars and ext[a] < 0:
+                        if ext is number:
+                            ext = number[:]
+                        ext[a] = nxt
+                        nxt += 1
+                key = (pred, tuple([ext[a] if a < n_vars else a for a in args]))
+                if least is None or key < least:
+                    least, options = key, []
+                elif key != least:
+                    continue
+                options.append((order + (i,), remaining[:j] + remaining[j + 1 :], ext, nxt))
+        if bound is not None and least < bound[pos]:
+            return None
+        frontier = options
+        if len(frontier) > 1:
+            if once is None:
+                counts = Counter(a for _, args in body for a in args if n_head <= a < n_vars)
+                once = {a for a, n in counts.items() if n == 1}
+            frontier = list({state(f[1], f[2]): f for f in frontier}.values())
+    # every survivor has the same key sequence, hence the same renamed body
+    order, _, number, _ = frontier[0]
+    return order, number
 
 
 def canonical(clause: Clause) -> Clause:
@@ -192,17 +261,9 @@ def canonical(clause: Clause) -> Clause:
 
     Variables become V0, V1, ... in order of first occurrence (head
     left-to-right, then body), and the body is put into the order whose
-    induced renaming gives the least literal sequence.  Two clauses are
-    equal modulo renaming and body reordering iff their canonical forms
-    are identical.  Idempotent.
-
-    The least sequence is found one position at a time.  A literal's key
-    depends only on the literals placed before it, so the least sequence
-    starts with the least key any literal can take next; the search keeps
-    every partial order that reaches that key (ties) and extends only those.
-    Tied partial orders whose unplaced literals read the same (see
-    ``_state``) have the same futures, so only one of them is kept; that
-    keeps bodies of interchangeable literals from taking factorial time.
+    induced renaming gives the least literal sequence (``least_order``).
+    Two clauses are equal modulo renaming and body reordering iff their
+    canonical forms are identical.  Idempotent.
     """
     if not clause.body:
         return clause
@@ -212,38 +273,26 @@ def canonical(clause: Clause) -> Clause:
         if lit not in body:
             body.append(lit)
 
-    head_vars: dict[Term, int] = {}
+    ids: dict[Term, int] = {}
     for v in clause.head.variables():
-        head_vars.setdefault(v, len(head_vars))
+        ids.setdefault(v, len(ids))
+    n_head = len(ids)
+    for lit in body:
+        for v in lit.variables():
+            ids.setdefault(v, len(ids))
+    n_vars = len(ids)
+    # constants after every variable, in name order
+    names = sorted({t.name for lit in body for t in lit.args if t.is_const()})
+    code = {name: n_vars + i for i, name in enumerate(names)}
+    lits = [(lit.predicate, tuple(ids[t] if t.is_var() else code[t.name] for t in lit.args)) for lit in body]
+    order, number = least_order(lits, n_head, n_vars)
 
-    once: set[Term] | None = None  # single-use body variables, built at the first tie
-    # partial orders tied for the least key prefix: (order, remaining, renaming)
-    frontier = [((), tuple(body), head_vars)]
-    for _ in body:
-        options = []
-        for order, remaining, renaming in frontier:
-            for i, lit in enumerate(remaining):
-                ext = dict(renaming)
-                for v in lit.variables():
-                    ext.setdefault(v, len(ext))
-                key = (lit.predicate, tuple(_arg_key(a, ext) for a in lit.args))
-                options.append((key, order + (lit,), remaining[:i] + remaining[i + 1 :], ext))
-        least = min(o[0] for o in options)
-        frontier = [o[1:] for o in options if o[0] == least]
-        if len(frontier) > 1:
-            if once is None:
-                counts = Counter(v for lit in body for v in lit.variables())
-                once = {v for v, n in counts.items() if n == 1 and v not in head_vars}
-            frontier = list({_state(f[1], f[2], once): f for f in frontier}.values())
-    # every survivor has the same key sequence, hence the same renamed body
-    best, _, best_map = frontier[0]
-
-    fresh = {old: Term("var", f"V{i}") for old, i in best_map.items()}
+    fresh = {v: Term("var", f"V{number[i]}") for v, i in ids.items()}
 
     def rename(a: Atom) -> Atom:
         return Atom(a.predicate, tuple(fresh.get(t, t) for t in a.args))
 
-    return Clause(rename(clause.head), tuple(rename(b) for b in best))
+    return Clause(rename(clause.head), tuple(rename(body[i]) for i in order))
 
 
 def print_clause(clause: Clause) -> str:

@@ -17,6 +17,7 @@ from .logic import (
     DEFAULT_MAX_BODY,
     DEFAULT_MAX_CLAUSES,
     DEFAULT_MAX_VARS,
+    PRED_RE,
     ExampleSet,
     PredDecl,
     Program,
@@ -24,8 +25,10 @@ from .logic import (
     term,
 )
 
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT + r"\Z")
 # one token, or the one character at which no token starts
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*|[0-9]+|:-|[(),.])|(.))")
+_TOKEN_RE = re.compile(rf"\s*(?:({_IDENT}|[0-9]+|:-|[(),.])|(.))")
 
 
 class ParseError(ValueError):
@@ -70,6 +73,13 @@ class _Cursor:
         self.i += 1
         return tok
 
+    def name(self, pattern: re.Pattern, what: str) -> str:
+        """Take a token that must match ``pattern``."""
+        tok = self.take()
+        if not pattern.match(tok):
+            raise ParseError(f"expected {what}, found {tok!r}", self.line)
+        return tok
+
     def end(self) -> None:
         """Take the closing '.', which must be the statement's last token."""
         self.take(".")
@@ -81,9 +91,7 @@ class _Cursor:
 
 
 def _parse_atom(cur: _Cursor) -> Atom:
-    name = cur.take()
-    if not re.match(r"[a-z][A-Za-z0-9_]*\Z", name):
-        raise ParseError(f"expected a predicate name, found {name!r}", cur.line)
+    name = cur.name(PRED_RE, "a predicate name")
     cur.take("(")
     args: list[Term] = []
     while True:
@@ -195,7 +203,7 @@ def parse_bias(text: str) -> BiasSpec:
         directive = cur.take()
         cur.take("(")
         if directive in ("head_pred", "body_pred"):
-            name = cur.take()
+            name = cur.name(PRED_RE, "a predicate name")
             cur.take(",")
             arity_tok = cur.take()
             if not arity_tok.isdigit():
@@ -207,13 +215,13 @@ def parse_bias(text: str) -> BiasSpec:
                 raise ParseError(f"duplicate declaration: {directive}({name},...)", line)
             table[name] = int(arity_tok)
         elif directive == "type":
-            name = cur.take()
+            name = cur.name(PRED_RE, "a predicate name")
             cur.take(",")
             cur.take("(")
-            tys = [cur.take()]
+            tys = [cur.name(_IDENT_RE, "a type name")]
             while cur.peek() == ",":
                 cur.take(",")
-                tys.append(cur.take())
+                tys.append(cur.name(_IDENT_RE, "a type name"))
             cur.take(")")
             cur.take(")")
             cur.end()

@@ -3,16 +3,18 @@
 These deliberately avoid the package's engine internals: the model oracle
 enumerates every ground substitution over the observed constants and
 iterates to fixpoint, the greedy-cover oracle scores one candidate at a
-time against every example the same way, and the instance generator uses
-only the public clause types.
+time against every example the same way, the hypothesis-space oracle
+canonicalises every raw body and dedupes by text, and the instance
+generator uses only the public clause types.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
+from typing import Iterator
 
-from hornpipe.logic import Atom, Clause, ExampleSet, Program, Term, const
+from hornpipe.logic import Atom, BiasSpec, Clause, ExampleSet, PredDecl, Program, Term, canonical, const, var
 
 
 def naive_consequences(background: Program, hypothesis: Program) -> set[Atom]:
@@ -98,6 +100,115 @@ def greedy_cover(
         chosen.append(c)
         uncovered -= got
     return "hypothesis", Program.of(chosen), safe
+
+
+def reference_clauses(bias: BiasSpec) -> list[Clause]:
+    """The hypothesis space as ``learner.enumerate_clauses`` defines it, by
+    brute force: every raw body of every predicate combination and variable
+    assignment, canonicalised, deduped by text; smallest bodies first, then
+    text."""
+    out = []
+    for length in range(1, bias.max_body + 1):
+        block = [c for head in bias.head_decls for c in _reference_of_length(bias, head, length)]
+        out += sorted(block, key=str)
+    return out
+
+
+def _typed_positions(decl: PredDecl) -> tuple[str | None, ...]:
+    return decl.types if decl.types is not None else (None,) * decl.arity
+
+
+def _raw_assignments(
+    slots: tuple[str | None, ...],
+    n_head: int,
+    head_types: tuple[str | None, ...],
+    max_vars: int,
+) -> Iterator[tuple[int, ...]]:
+    """Variable index tuples for the body positions: head variables
+    0..n_head-1 all used, new variables in first-use order, no variable at
+    positions of two different declared types."""
+    n = len(slots)
+    assigned: list[int] = [0] * n
+    types: list[str | None] = list(head_types) + [None] * (max_vars - n_head)
+    seen_head = [False] * n_head
+
+    def rec(pos: int, used: int) -> Iterator[tuple[int, ...]]:
+        if pos == n:
+            if all(seen_head):
+                yield tuple(assigned)
+            return
+        missing = sum(1 for s in seen_head if not s)
+        if missing > n - pos:
+            return
+        want = slots[pos]
+        limit = min(used + 1, max_vars)
+        for v in range(limit):
+            have = types[v]
+            if want is not None and have is not None and want != have:
+                continue
+            assigned[pos] = v
+            old = have
+            if want is not None and have is None:
+                types[v] = want
+            first_head = v < n_head and not seen_head[v]
+            if first_head:
+                seen_head[v] = True
+            yield from rec(pos + 1, max(used, v + 1))
+            if first_head:
+                seen_head[v] = False
+            types[v] = old
+
+    yield from rec(0, n_head)
+
+
+def _reference_of_length(bias: BiasSpec, head: PredDecl, length: int) -> list[Clause]:
+    if head.arity > bias.max_vars:
+        return []
+    body_decls = [d for d in bias.body_decls if d.predicate not in bias.head_predicates]
+    body_decls.sort(key=lambda d: (d.predicate, d.arity))
+    names = [f"V{i}" for i in range(bias.max_vars)]
+    head_atom = Atom(head.predicate, tuple(var(names[i]) for i in range(head.arity)))
+    head_types = _typed_positions(head)
+
+    out: dict[str, Clause] = {}
+    for combo in combinations_with_replacement(body_decls, length):
+        slots = tuple(t for d in combo for t in _typed_positions(d))
+        if len(slots) < head.arity:
+            continue
+        for assignment in _raw_assignments(slots, head.arity, head_types, bias.max_vars):
+            lits = []
+            i = 0
+            for d in combo:
+                args = tuple(var(names[v]) for v in assignment[i : i + d.arity])
+                i += d.arity
+                lits.append(Atom(d.predicate, args))
+            if len(set(lits)) != len(lits):
+                continue
+            try:
+                clause = canonical(Clause(head_atom, tuple(lits)))
+            except ValueError:  # disconnected body
+                continue
+            out.setdefault(str(clause), clause)
+    return list(out.values())
+
+
+def random_bias(rng: random.Random) -> BiasSpec:
+    """A small random bias: one or two heads, typed and untyped positions
+    drawn from a few shared types, max_vars 2..5 and max_body 1..3.  Body
+    predicates are unary to ternary; at max_body 3 they are at most binary
+    and max_vars is at most 4, so that the brute-force reference stays
+    fast."""
+    types = ["t0", "t1", "t2"][: rng.randint(1, 3)]
+
+    def decl(name: str, arity: int) -> PredDecl:
+        typed = rng.random() < 0.7
+        return PredDecl(name, arity, tuple(rng.choice(types) for _ in range(arity)) if typed else None)
+
+    max_body = rng.randint(1, 3)
+    arities, max_vars = ((1, 2, 2, 3), 5) if max_body < 3 else ((1, 2), 4)
+    heads = tuple(decl(f"h{i}", rng.randint(1, 2)) for i in range(rng.randint(1, 2)))
+    body = tuple(decl(f"p{i}", rng.choice(arities)) for i in range(rng.randint(1, 3)))
+    return BiasSpec(heads, body, max_vars=rng.randint(2, max_vars), max_body=max_body)
 
 
 def _ground(a: Atom, env: dict[Term, str]) -> Atom:

@@ -7,9 +7,11 @@ fits the examples, solve must succeed too.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,6 @@ from hornpipe.cover import (
     CandidateList,
     CoverCache,
     WantedSet,
-    compile_candidate,
     coverage_tables,
     covered_atoms,
     covers_any,
@@ -32,9 +33,9 @@ from hornpipe.learner import (
     verify,
 )
 from hornpipe.logic import Atom, Clause, ExampleSet, Program, atom, canonical, const, print_clause, var
-from hornpipe.parsing import parse_bias, parse_clause, parse_examples, parse_facts
+from hornpipe.parsing import parse_bias, parse_clause, parse_examples, parse_facts, print_bias
 
-from oracles import greedy_cover, naive_consequences, random_instance
+from oracles import greedy_cover, naive_consequences, random_bias, random_instance, reference_clauses
 from test_parsing import VOCAB_BIAS
 
 RULE_CROSS_LANDING = "collision(V0,V1):- cross_runway(V0,V2),landing_runway(V1,V2)."
@@ -58,6 +59,28 @@ PLANT_BIAS = parse_bias(
     "max_vars(4).\n"
     "max_body(2).\n"
 )
+
+# the bias synthgen builds for data/planted_rules.rules
+CORPUS_BIAS = parse_bias(
+    "head_pred(collision,2).\n"
+    "body_pred(cross_runway,2).\n"
+    "body_pred(holding_on_runway,2).\n"
+    "body_pred(idle,1).\n"
+    "body_pred(landing_runway,2).\n"
+    "body_pred(on_extended_area_runway,2).\n"
+    "body_pred(same_runway,2).\n"
+    "type(collision,(t0,t0)).\n"
+    "type(cross_runway,(t0,t1)).\n"
+    "type(holding_on_runway,(t0,t2)).\n"
+    "type(idle,(t0)).\n"
+    "type(landing_runway,(t0,t1)).\n"
+    "type(on_extended_area_runway,(t0,t2)).\n"
+    "type(same_runway,(t2,t1)).\n"
+    "max_vars(4).\n"
+    "max_body(3).\n"
+)
+
+VOCABULARY = (Path(__file__).resolve().parent.parent / "data" / "vocabulary.bias").read_text(encoding="utf-8")
 
 
 def atoms_of(wanted: WantedSet, mask: int) -> set[Atom]:
@@ -117,6 +140,65 @@ def test_stream_clauses_well_formed():
         assert head_args <= {v for lit in c.body for v in lit.variables()}
 
 
+def test_stream_matches_reference_on_random_biases():
+    """The enumeration against ``oracles.reference_clauses``, which
+    canonicalises every raw body and dedupes by text: the same texts in the
+    same order.  Bodies that repeat a predicate exercise the least-order
+    test."""
+    rng = random.Random(20261019)
+    arities, types, max_vars, max_body = set(), set(), set(), set()
+    repeated = 0
+    for _ in range(40):
+        bias = random_bias(rng)
+        want = [str(c) for c in reference_clauses(bias)]
+        got = list(enumerate_clauses(bias))
+        assert [str(c) for c in got] == want, print_bias(bias)
+        arities |= {d.arity for d in bias.body_decls}
+        types |= {d.types is None for d in bias.body_decls}
+        max_vars.add(bias.max_vars)
+        max_body.add(bias.max_body)
+        repeated += sum(len({lit.predicate for lit in c.body}) < len(c.body) for c in got)
+    assert arities == {1, 2, 3} and types == {True, False}
+    assert max_vars == {2, 3, 4, 5} and max_body == {1, 2, 3}
+    assert repeated
+
+
+# (candidates, digest) per bias
+DIGESTS = {
+    "small": (115, "154baa301b6f3f33"),
+    "plant": (8, "6618224020ba685a"),
+    "corpus": (257, "cd01f7252953734b"),
+    "vocabulary-2": (85, "e47ae75aef4dd961"),
+    "vocabulary-3": (3373, "4820edebc8e9d9e0"),
+}
+
+
+def compiled_digest(candidates: CandidateList) -> str:
+    h = hashlib.sha256()
+    for cand in candidates:
+        h.update(cand.text.encode() + b"\n")
+    h.update(repr(candidates.slotted).encode())
+    h.update(repr(candidates.uses).encode())
+    return h.hexdigest()[:16]
+
+
+def test_compiled_space_digest():
+    """The candidate texts in order, the slotted groups and each candidate's
+    uses, pinned by a digest of what the canonicalising enumerator built."""
+    biases = {
+        "small": SMALL_BIAS,
+        "plant": PLANT_BIAS,
+        "corpus": CORPUS_BIAS,
+        "vocabulary-2": parse_bias(VOCABULARY.replace("max_body(4).", "max_body(2).")),
+        "vocabulary-3": parse_bias(VOCABULARY.replace("max_body(4).", "max_body(3).")),
+    }
+    got = {}
+    for name, bias in biases.items():
+        candidates = candidate_list(bias)
+        got[name] = (len(candidates), compiled_digest(candidates))
+    assert got == DIGESTS
+
+
 def test_candidate_text_is_canonical_print():
     vocab = parse_bias(VOCAB_BIAS.replace("max_body(4).", "max_body(2)."))
     for bias in (SMALL_BIAS, PLANT_BIAS, vocab):
@@ -142,7 +224,7 @@ def test_typed_positions_never_mix():
 def test_split_body_covers_across_components():
     b = parse_facts("cross_runway(a,r1).\nlanding_runway(b,r2).\n")
     clause = canonical(parse_clause("collision(X,Y):- cross_runway(X,R),landing_runway(Y,S)."))
-    cands = CandidateList([compile_candidate(clause, print_clause(clause))])
+    cands = CandidateList([clause])
     assert len(cands.candidates[0].groups) == 2
     tables = coverage_tables(cands, CoverCache().solved(b, cands))
     want = [atom("collision", "a", "b"), atom("collision", "b", "a")]
@@ -154,10 +236,14 @@ def test_split_body_covers_across_components():
     assert got == set(engine.covered_pos)
 
 
+def test_candidate_list_rejects_non_candidate_clauses():
+    for text in ("h(X,X):- p(X,Y).", "h(X,a):- p(X,Y).", "h(X,Y):- p(X,a),q(X,Y)."):
+        with pytest.raises(ValueError, match="candidate"):
+            CandidateList([parse_clause(text)])
+
+
 def test_cover_cache_reused_across_stores():
-    candidates = CandidateList(
-        compile_candidate(c, print_clause(c)) for c in enumerate_clauses(PLANT_BIAS)
-    )
+    candidates = candidate_list(PLANT_BIAS)
     cache = CoverCache()
     b1 = parse_facts("cross_runway(a,r1).\nlanding_runway(b,r1).\n")
     cache.solved(b1, candidates)
@@ -179,9 +265,7 @@ def test_shared_group_fires_once_per_component(monkeypatch):
         return real_fire(rule, store, out)
 
     monkeypatch.setattr(cover, "fire", counting_fire)
-    candidates = CandidateList(
-        compile_candidate(c, print_clause(c)) for c in enumerate_clauses(SMALL_BIAS)
-    )
+    candidates = candidate_list(SMALL_BIAS)
     background = parse_facts("p(a,b).\np(b,c).\nr(c).\n")
     assert len(FactStore.from_program(background).components()) == 1
     slots = [g.rule for c in candidates for g in c.groups if g.preds <= {"p", "r"}]
@@ -210,9 +294,7 @@ def random_solver_instance(rng: random.Random) -> tuple[Program, ExampleSet]:
 
 
 def test_cover_path_matches_engine_on_random_instances():
-    candidates = CandidateList(
-        compile_candidate(c, print_clause(c)) for c in enumerate_clauses(SMALL_BIAS)
-    )
+    candidates = candidate_list(SMALL_BIAS)
     rng = random.Random(20260301)
     for _ in range(40):
         background, ex = random_solver_instance(rng)
@@ -244,9 +326,7 @@ def two_pool_background(rng: random.Random) -> Program:
 def test_cover_path_matches_exhaustive_oracle_across_components():
     """Cover tables against ``oracles.naive_consequences``, which shares no
     code with the join kernel that both cover and the fixpoint engine run."""
-    candidates = CandidateList(
-        compile_candidate(c, print_clause(c)) for c in enumerate_clauses(SMALL_BIAS)
-    )
+    candidates = candidate_list(SMALL_BIAS)
     assert sum(len(c.groups) > 1 for c in candidates) > len(candidates) // 2
     rng = random.Random(20261018)
     cross = 0
@@ -279,14 +359,14 @@ def test_group_key_under_different_slots_scores_apart():
     their own verdicts, in either scoring order."""
     texts = ("h(X,Y):- p(X),q(X,Y).", "h(X,Y):- p(Y),q(X,Y).")
     clauses = [canonical(parse_clause(t)) for t in texts]
-    cands = [compile_candidate(c, print_clause(c)) for c in clauses]
+    cands = CandidateList(clauses).candidates
     p_groups = [g for c in cands for g in c.groups if g.preds == {"p"}]
     assert p_groups[0].key == p_groups[1].key
     assert p_groups[0].head_slots != p_groups[1].head_slots
     background = parse_facts("p(a).\nq(a,b).\n")
     hit = atom("h", "a", "b")
     want = {cands[0].text: {hit}, cands[1].text: set()}
-    for order in (CandidateList(cands), CandidateList(cands[::-1])):
+    for order in (CandidateList(clauses), CandidateList(clauses[::-1])):
         tables = coverage_tables(order, CoverCache().solved(background, order))
         negatives, positives = WantedSet([hit]), WantedSet([hit])
         for cand, bad, mask in zip(order, covers_any(tables, negatives), covered_atoms(tables, positives)):
@@ -323,7 +403,7 @@ def test_wanted_set_reused_across_stores():
     """A wanted set keeps only what its atoms decide: one wanted set scored
     against tables from different stores answers for each."""
     clause = canonical(parse_clause("h(X,Y):- p(X,Z),q(Z,Y)."))
-    cands = CandidateList([compile_candidate(clause, print_clause(clause))])
+    cands = CandidateList([clause])
     wanted = WantedSet([atom("h", "a", "b")])
     cache = CoverCache()
     for facts, covered in (

@@ -157,6 +157,22 @@ def test_parse_bias_unknown_directive():
         parse_bias("modeh(c,2).\n")
 
 
+def test_parse_bias_rejects_bad_predicate_name():
+    for text in (
+        "head_pred(),2).\n",
+        "head_pred(c,2).\nbody_pred(Runway,2).\n",
+        "head_pred(c,2).\ntype(:-,(agent,agent)).\n",
+    ):
+        with pytest.raises(ParseError, match=r"line \d+: expected a predicate name"):
+            parse_bias(text)
+
+
+def test_parse_bias_rejects_bad_type_name():
+    for tys in ("(:-,.)", "(agent,7)", "(agent,,)"):
+        with pytest.raises(ParseError, match="line 3: expected a type name"):
+            parse_bias(f"head_pred(c,2).\nbody_pred(p,2).\ntype(p,{tys}).\n")
+
+
 def test_print_bias_roundtrip():
     bias = parse_bias(VOCAB_BIAS)
     assert parse_bias(print_bias(bias)) == bias
