@@ -2,14 +2,15 @@
 
 A candidate clause has a head with distinct variables and a connected body,
 so for a ground head binding the body splits into groups tied together only
-through head variables.  Each group can only match inside one
+through head variables.  A group's literals are connected through its
+existential variables, so each of its matches lies inside one
 constant-connected component of the fact store.  A group is kept as a rule
 of its own: the candidate's head predicate over the head variables the
 group binds, with the group's literals as its body.  Its solutions in a
-component (projections of its matches onto those head variables) are the
-heads that rule derives when ``entailment.fire`` runs it once over the
-component, through the same planned join as the fixpoint engine.  They are
-unioned over components.
+set of whole components (projections of its matches onto those head
+variables) are the heads that rule derives when ``entailment.fire`` runs it
+once over them, through the same planned join as the fixpoint engine: the
+union of its solutions in each component.
 
 Examples are scored once per slotted group per solve, not once per
 candidate.  A CandidateList, built once per bias, numbers the distinct
@@ -25,10 +26,14 @@ covered positives are the set bits.
 Results are exact: equivalence with the fixpoint engine and with exhaustive
 oracles is property-tested.
 
-The cache is keyed by component content and then by group content, a text
-of the group's rule that is the same under any renaming of its variables.
-Candidates that share a group therefore share its solutions, each group is
-solved once per component, and one cache serves any candidate list.
+The cache is keyed by the content of the facts a solve adds and then by
+group content, a text of the group's rule that is the same under any
+renaming of its variables.  Candidates that share a group therefore share
+its solutions, each group fires at most once per solve, and one cache
+serves any candidate list.  A later solve that adds the same facts fires
+nothing: an aggregation step that adds a subset whose constants are new to
+the state reads the table that subset's own check made, when both stages
+share the cache.
 
 The cache also keeps the solved form of the last two backgrounds it saw: the
 component of each constant and each group's union of solutions.  Each
@@ -36,10 +41,10 @@ background fact is held once, in its component, and fact membership is read
 from there.  Along an aggregation trial the background only grows, so a solve
 derives its form from the largest kept background it extends: only the new
 facts are converted, they merge the components they share a constant with,
-the groups fire only on the merged components, and only the unions those
-change are rebuilt.  The result equals a from-scratch solve, which is
-property-tested; the solver's self-check still builds its own store from the
-background program.
+the groups fire once over the new facts and the base components they touch,
+and only the unions this changes are rebuilt.  The result equals a
+from-scratch solve, which is property-tested; the solver's self-check still
+builds its own store from the background program.
 """
 
 from __future__ import annotations
@@ -86,11 +91,20 @@ class Candidate:
 class _ComponentView:
     """One constant-connected component, keyed by its facts."""
 
-    __slots__ = ("key", "preds")
+    __slots__ = ("key",)
 
     def __init__(self, facts: list[Fact]):
         self.key = frozenset(facts)
-        self.preds = frozenset(pred for pred, _ in facts)
+
+
+class _Added:
+    """The facts one solve adds, in one store keyed by their content."""
+
+    __slots__ = ("key", "store")
+
+    def __init__(self, facts: list[Fact]):
+        self.key = frozenset(facts)
+        self.store = FactStore(facts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,8 +134,8 @@ _EMPTY = SolvedBackground(frozenset(), {}, {})
 
 
 class CoverCache:
-    """Per-component group solutions and the last two solved backgrounds,
-    shared across solver calls."""
+    """Group solutions per added fact set and the last two solved
+    backgrounds, shared across solver calls."""
 
     KEPT = 2
 
@@ -130,15 +144,15 @@ class CoverCache:
         self.groups: dict[str, Group] = {}  # every group a solved form has unions for
         self._kept: list[SolvedBackground] = []  # most recently used first
 
-    def table(self, view: _ComponentView, groups: Iterable[Group]) -> dict[str, frozenset]:
-        """The component's solutions by group key, firing the groups it lacks."""
+    def table(self, view: _Added, groups: Iterable[Group]) -> dict[str, frozenset]:
+        """The added facts' solutions by group key, firing each group they
+        lack once over all of them."""
         table = self.tables.setdefault(view.key, {})
-        store = None
+        store = view.store
+        preds = store.by_pred.keys()
         for group in groups:
-            if group.key in table or not group.preds <= view.preds:
+            if group.key in table or not group.preds <= preds:
                 continue
-            if store is None:
-                store = FactStore(view.key)
             heads: set[Fact] = set()
             fire(group.compiled, store, heads)
             table[group.key] = frozenset(args for _, args in heads)
@@ -173,24 +187,22 @@ class CoverCache:
         new = list(background_facts(clauses - base.clauses))
         # a new fact joins every base component it shares a constant with
         touched = {base.component_of[c] for _, args in new for c in args if c in base.component_of}
-        merged = FactStore([*new, *(f for view in touched for f in view.key)])
+        added = _Added([*new, *(f for view in touched for f in view.key)])
         component_of = dict(base.component_of)
-        gained: dict[str, list[frozenset]] = {}
-        for facts in merged.components():
+        for facts in added.store.components():
             view = _ComponentView(facts)
             for _, args in facts:
                 for c in args:
                     component_of[c] = view
-            for key, sols in self.table(view, self.groups.values()).items():
-                if sols:
-                    gained.setdefault(key, []).append(sols)
-        # a component's solutions use only its own constants, and a merged
-        # component keeps every fact of the base components it absorbed, so
-        # it still derives their solutions: adding the new components'
-        # solutions to the base unions gives exactly the from-scratch unions
+        # every match of a group lies inside one component, so one firing over
+        # the added facts unions the group's solutions in their components;
+        # a merged component keeps every fact of the base components it
+        # absorbed, so it still derives their solutions: adding these to the
+        # base unions gives exactly the from-scratch unions
         unions = dict(base.unions)
-        for key, sols in gained.items():
-            unions[key] = unions.get(key, frozenset()).union(*sols)
+        for key, sols in self.table(added, self.groups.values()).items():
+            if sols:
+                unions[key] = unions.get(key, frozenset()) | sols
         return SolvedBackground(clauses, component_of, unions)
 
 

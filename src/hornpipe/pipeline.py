@@ -9,12 +9,17 @@ and held-out evaluation, runs in-process.
 Stage 3 (aggregation): grow a global training set by re-solving as each
 subset joins.  Each solve equals a from-scratch one, while the background's
 components (which also answer fact membership) and group unions carry over
-from the last solved background it extends (``cover.CoverCache``); a subset
-that breaks solvability has its own examples peeled off one at a time
-(negatives first) before being dropped entirely.  A subset taken whole and
-one cut back advance the state on the same path; only the logged action and
-removed examples differ.  If the chronological pass drops too many subsets,
-seeded shuffled passes retry, keeping the best trial.
+from the last solved background it extends (``cover.CoverCache``).
+``run_pipeline`` passes one cache through stages 2 and 3, so when the
+subset checks run in-process, a subset whose constants are new to the state
+adds exactly the facts its own check tabled, and joining it fires no group
+again.  Worker processes' caches do not come back, so with jobs > 1
+aggregation tables for itself.  A subset that breaks solvability has its
+own examples peeled off one at a time (negatives first) before being
+dropped entirely.  A subset taken whole and one cut back advance the state
+on the same path; only the logged action and removed examples differ.  If
+the chronological pass drops too many subsets, seeded shuffled passes
+retry, keeping the best trial.
 Stage 4 (pruning): drop accepted rules whose standalone support on the
 aggregated positives falls below a fraction of the maximum support.
 
@@ -196,19 +201,24 @@ def _solve_subset(args) -> learner.SolverResult:
 
 
 def check_subsets(
-    subsets: list[SubsetInstance], bias: BiasSpec, config: PipelineConfig
+    subsets: list[SubsetInstance],
+    bias: BiasSpec,
+    config: PipelineConfig,
+    cache: CoverCache | None = None,
 ) -> tuple[list[SubsetInstance], list[SubsetCheck]]:
     """Keep the subsets that admit an exact-fit hypothesis on their own.
 
     Order is preserved; work is independent per subset, so it fans out over
-    config.jobs processes when asked.
+    config.jobs processes when asked.  In-process solves share ``cache``
+    when one is passed, so aggregation can reuse their tables; without one,
+    each solve gets a fresh cache.
     """
     args = [(s.background, s.examples, bias) for s in subsets]
     if config.jobs > 1 and len(subsets) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(_solve_subset, args))
     else:
-        results = [_solve_subset(a) for a in args]
+        results = [learner.solve(*a, cache) for a in args]
     reliable: list[SubsetInstance] = []
     checks: list[SubsetCheck] = []
     for subset, res in zip(subsets, results):
@@ -331,6 +341,7 @@ def aggregate(
     bias: BiasSpec,
     config: PipelineConfig,
     on_accept: Callable[[int, AggregationState], None] | None = None,
+    cache: CoverCache | None = None,
 ) -> AggregationOutcome:
     """Grow the best consistent union of subsets over up to max_retries trials.
 
@@ -342,12 +353,14 @@ def aggregate(
 
     on_accept(trial, state) fires after every accepted candidate; the
     state is training-correct, as the solver's self-check has confirmed.
+    Every solve goes through ``cache``, a fresh one when none is passed.
     """
     if not reliable:
         return AggregationOutcome(_empty_state(), 0, (), False)
 
     chronological = sorted(reliable, key=lambda s: (s.timestamp, s.id))
-    cache = CoverCache()
+    if cache is None:
+        cache = CoverCache()
     best = _empty_state()
     best_trial = 0
     best_k = -1
@@ -485,20 +498,25 @@ class PipelineReport:
 
 
 def run_checks(
-    sources: list[BundleSource], bias: BiasSpec, config: PipelineConfig
+    sources: list[BundleSource],
+    bias: BiasSpec,
+    config: PipelineConfig,
+    cache: CoverCache | None = None,
 ) -> tuple[tuple[ValidationOutcome, ...], list[SubsetInstance], list[SubsetCheck]]:
     """Stages 1-2: (validation outcomes, reliable subsets, one check per valid subset)."""
     outcomes = tuple(
         validate_bundle(src, bias, config.validation_attempts) for src in sources
     )
     subsets = [o.subset for o in outcomes if o.accepted and o.subset is not None]
-    reliable, checks = check_subsets(subsets, bias, config)
+    reliable, checks = check_subsets(subsets, bias, config, cache)
     return outcomes, reliable, checks
 
 
 def run_pipeline(sources: list[BundleSource], bias: BiasSpec, config: PipelineConfig) -> PipelineReport:
-    outcomes, reliable, checks = run_checks(sources, bias, config)
-    agg = aggregate(reliable, bias, config)
+    # one cache for stages 2 and 3: aggregation reuses the subset checks' tables
+    cache = CoverCache()
+    outcomes, reliable, checks = run_checks(sources, bias, config, cache)
+    agg = aggregate(reliable, bias, config, cache=cache)
 
     best = agg.best
     pruned, prune_records = prune_by_support(

@@ -250,13 +250,15 @@ def test_cover_cache_reused_across_stores():
     n1 = len(cache.tables)
     b2 = parse_facts("cross_runway(a,r1).\nlanding_runway(b,r1).\ncross_runway(c,r2).\n")
     cache.solved(b2, candidates)
-    # first component unchanged, second one new
+    # the second solve adds one fact set: the new fact, which shares no
+    # constant with b1, so it touches no base component
     assert len(cache.tables) == n1 + 1
 
 
-def test_shared_group_fires_once_per_component(monkeypatch):
-    """Candidates that share a body group share its solutions: the group
-    fires once per component, not once per candidate that carries it."""
+def test_shared_group_fires_once_per_solve(monkeypatch):
+    """Candidates that share a body group share its solutions, and a solve
+    fires each group once over all the facts it adds: not once per
+    candidate that carries the group, nor once per component."""
     fired = []
     real_fire = cover.fire
 
@@ -266,8 +268,12 @@ def test_shared_group_fires_once_per_component(monkeypatch):
 
     monkeypatch.setattr(cover, "fire", counting_fire)
     candidates = candidate_list(SMALL_BIAS)
-    background = parse_facts("p(a,b).\np(b,c).\nr(c).\n")
-    assert len(FactStore.from_program(background).components()) == 1
+    background = parse_facts("p(a,b).\np(b,c).\nr(c).\np(d,e).\nr(e).\np(f,g).\nr(g).\n")
+    components = FactStore.from_program(background).components()
+    assert len(components) == 3
+    # every group over p and r applies in every component, so firing per
+    # component would fire three times as often
+    assert all({pred for pred, _ in facts} == {"p", "r"} for facts in components)
     slots = [g.rule for c in candidates for g in c.groups if g.preds <= {"p", "r"}]
     distinct = {canonical(rule) for rule in slots}
     assert len(distinct) < len(slots)
@@ -510,6 +516,43 @@ def test_derived_solved_background_equals_a_fresh_one():
         for form, background in seen:
             assert_solved_is_fresh(form, background, candidates)
     assert merges > 20 and discards_then_derived > 20 and repeats > 20
+
+
+def test_derived_solved_background_equals_a_fresh_one_after_subset_checks():
+    """As in ``run_pipeline``, where the subset checks and aggregation share
+    one cache: every subset is first solved alone, then a chain extends the
+    kept state by each.  Every form, the subsets' own included, equals one
+    built from scratch, also where a subset whose constants are new to the
+    state adds the fact set its own solve tabled, and joining it tables
+    nothing."""
+    rng = random.Random(20261019)
+    reused = merges = 0
+    for _ in range(60):
+        bias, subsets = background_chain(rng)
+        candidates = candidate_list(bias)
+        cache = CoverCache()
+        seen: list[tuple[cover.SolvedBackground, Program]] = []
+        for subset in subsets:
+            form = cache.solved(subset, candidates)
+            assert_solved_is_fresh(form, subset, candidates)
+            seen.append((form, subset))
+        state = Program.of(())
+        for subset in subsets:
+            background = state.union(subset)
+            # the fact set a subset adds when its constants are new to the state
+            own = frozenset(FactStore.from_program(subset).facts())
+            hit = own in cache.tables and constants(state).isdisjoint(constants(subset))
+            tabled = len(cache.tables)
+            form = cache.solved(background, candidates)
+            assert_solved_is_fresh(form, background, candidates)
+            reused += hit and bool(state.clauses) and len(cache.tables) == tabled
+            merges += bool(constants(state) & constants(subset)) and background != state
+            seen.append((form, background))
+            if rng.random() < 0.7:
+                state = background
+        for form, background in seen:
+            assert_solved_is_fresh(form, background, candidates)
+    assert reused > 5 and merges > 20
 
 
 def test_solved_has_atom_rejects_non_ground_atom():

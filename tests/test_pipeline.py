@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hornpipe import learner
+from hornpipe import cover, learner
 from hornpipe.cover import CoverCache
 from hornpipe.entailment import coverage
 from hornpipe.ingestion import BundleSource, RawBundle
@@ -190,13 +190,50 @@ def test_check_subsets_splits_reliable_from_unreliable():
 
 
 def test_check_subsets_parallel_matches_serial():
+    """Serial checks through one shared cache, serial checks with a fresh
+    cache per solve and pooled checks agree; the last subset extends the
+    one before it, so the shared cache derives its form from a kept one."""
     subsets = [
         _subset(f"s-{i}", f"2024-01-0{i+1}", f"p(a{i},b{i}).\n", f"pos(goal(a{i},b{i})).\n")
         for i in range(4)
     ]
+    subsets.append(
+        _subset("s-4", "2024-01-05", "p(a3,b3).\nq(b3,a3).\n", "pos(goal(b3,a3)).\nneg(goal(a3,b3)).\n")
+    )
     serial = check_subsets(subsets, TEST_BIAS, PipelineConfig(jobs=1))
+    shared = check_subsets(subsets, TEST_BIAS, PipelineConfig(jobs=1), CoverCache())
     parallel = check_subsets(subsets, TEST_BIAS, PipelineConfig(jobs=2))
-    assert serial == parallel
+    assert serial == shared == parallel
+    assert [c.reliable for c in serial[1]] == [True] * 5
+
+
+def test_aggregation_reuses_the_subset_checks_tables(monkeypatch):
+    """With one cache through stages 2 and 3, as ``run_pipeline`` passes it,
+    aggregating constant-disjoint subsets fires no group: each step adds
+    exactly the facts its subset's check tabled.  The outcome equals the
+    one from a fresh cache."""
+    batch = _poisoned_batch()
+    config = PipelineConfig(seed=0)
+    fresh = aggregate(batch, TEST_BIAS, config)
+    fired = []
+    real_fire = cover.fire
+
+    def counting_fire(rule, store, out):
+        fired.append(rule)
+        return real_fire(rule, store, out)
+
+    monkeypatch.setattr(cover, "fire", counting_fire)
+    cache = CoverCache()
+    reliable, _ = check_subsets(batch, TEST_BIAS, config, cache)
+    assert reliable == batch
+    checked = len(fired)
+    assert checked
+    shared = aggregate(reliable, TEST_BIAS, config, cache=cache)
+    assert len(fired) == checked
+    assert shared == fresh
+    # the batch exercises cut-backs and more than one trial
+    assert len(shared.trials) > 1
+    assert any(d.action == "retained_partial" for d in shared.best.trial_log)
 
 
 # --------------------------------------------------------------- aggregation
