@@ -43,18 +43,36 @@ derives its form from the largest kept background it extends: only the new
 facts are converted, they merge the components they share a constant with,
 the groups fire once over the new facts and the base components they touch,
 and only the unions this changes are rebuilt.  The result equals a
-from-scratch solve, which is property-tested; the solver's self-check still
-builds its own store from the background program.
+from-scratch solve, which is property-tested.
+
+The cache also keeps the least model of the last self-check that found its
+hypothesis consistent (``CoverCache.check``).  When the next check has an
+equal hypothesis over a superset of that background, as along a trial
+whenever the hypothesis holds, the model is carried forward: only the new
+facts are inserted, semi-naive rounds run from them, the inserted facts are
+tested against the old negatives and the new examples against the model.
+A new trial, a subset check or a changed hypothesis rebuilds it from the
+background program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .entailment import CompiledRule, Fact, FactStore, atom_to_fact, background_facts, fire
-from .logic import Atom, Clause, Program, connected_groups
+from .entailment import (
+    CompiledRule,
+    Fact,
+    FactStore,
+    atom_to_fact,
+    background_facts,
+    compile_clause,
+    consequences,
+    fire,
+    saturate,
+)
+from .logic import Atom, Clause, ExampleSet, Program, connected_groups
 
 
 @dataclass(frozen=True)
@@ -77,10 +95,6 @@ class Candidate:
     clause: Clause
     body_len: int
     groups: tuple[Group, ...]
-
-    @property
-    def head_arity(self) -> int:
-        return self.clause.head.arity
 
     @cached_property
     def text(self) -> str:
@@ -133,9 +147,22 @@ class SolvedBackground:
 _EMPTY = SolvedBackground(frozenset(), {}, {})
 
 
+class _Verified(NamedTuple):
+    """A self-check that found the hypothesis consistent: its background,
+    hypothesis and least model, and the examples checked against that model,
+    with each negative by its fact."""
+
+    clauses: frozenset[Clause]
+    hypothesis: frozenset[Clause]
+    rules: list[CompiledRule]
+    model: FactStore
+    examples: ExampleSet
+    negative_facts: dict[Fact, Atom]
+
+
 class CoverCache:
-    """Group solutions per added fact set and the last two solved
-    backgrounds, shared across solver calls."""
+    """Group solutions per added fact set, the last two solved backgrounds
+    and the last consistent self-check's model, shared across solver calls."""
 
     KEPT = 2
 
@@ -143,6 +170,57 @@ class CoverCache:
         self.tables: dict[frozenset[Fact], dict[str, frozenset]] = {}
         self.groups: dict[str, Group] = {}  # every group a solved form has unions for
         self._kept: list[SolvedBackground] = []  # most recently used first
+        self._verified: _Verified | None = None
+
+    def check(
+        self, background: Program, hypothesis: Program, examples: ExampleSet
+    ) -> tuple[list[Atom], list[Atom]]:
+        """The positives that ``background ∪ hypothesis`` does not entail, and
+        the negatives it does.
+
+        When the hypothesis equals that of the last check that found neither
+        and the background is a superset of that check's, its model is
+        carried forward: the new facts go in and semi-naive rounds run from
+        them (``entailment.saturate``).  A model only grows, so the positives
+        checked then stay entailed, and a negative checked then can enter it
+        only as a fact inserted now.  So when the examples extend the ones
+        checked then, only the inserted facts are tested against the old
+        negatives and only the new examples against the model.  Any other
+        call builds the model from scratch.  The model is never handed out.
+        """
+        kept, self._verified = self._verified, None
+        clauses = background.clauses
+        if kept is not None and kept.hypothesis == hypothesis.clauses:
+            new = clauses - kept.clauses
+            if len(kept.clauses) + len(new) != len(clauses):
+                kept = None  # not a superset
+        else:
+            kept = None
+        if kept is not None:
+            rules, model = kept.rules, kept.model
+            inserted = saturate(model, rules, background_facts(new))
+            old = kept.examples
+            n_pos, n_neg = len(old.positives), len(old.negatives)
+            negative_facts = kept.negative_facts
+            if examples.positives[:n_pos] != old.positives or examples.negatives[:n_neg] != old.negatives:
+                n_pos = n_neg = 0  # not an extension: check every example
+                negative_facts = {}
+        else:
+            rules = [compile_clause(c) for c in hypothesis.clauses if c.body]
+            model = consequences(background, hypothesis)
+            inserted = []
+            n_pos = n_neg = 0
+            negative_facts = {}
+        bad = [negative_facts[f] for f in inserted if f in negative_facts]
+        missed = [a for a in examples.positives[n_pos:] if atom_to_fact(a) not in model]
+        for a in examples.negatives[n_neg:]:
+            fact = atom_to_fact(a)
+            if fact in model:
+                bad.append(a)
+            negative_facts[fact] = a
+        if not missed and not bad:
+            self._verified = _Verified(clauses, hypothesis.clauses, rules, model, examples, negative_facts)
+        return missed, bad
 
     def table(self, view: _Added, groups: Iterable[Group]) -> dict[str, frozenset]:
         """The added facts' solutions by group key, firing each group they

@@ -16,7 +16,10 @@ none.
 
 ``fire`` runs one compiled rule once over a store.  It is the only join
 path: ``consequences`` calls it for every round, and ``cover`` calls it to
-solve candidate body groups per component.
+solve candidate body groups per component.  ``saturate`` is the only
+semi-naive loop: ``consequences`` runs it from its naive first round, and
+``cover.CoverCache`` runs it from the facts a grown background adds to the
+model it keeps for the solver's self-check.
 
 Everything downstream (example coverage, rule support, evaluation) is
 defined in terms of membership in that model.
@@ -315,6 +318,36 @@ def fire(
     _join(steps, indexes, 0, rows, env, store, rule, out)
 
 
+def saturate(store: FactStore, rules: list[CompiledRule], facts: Iterable[Fact]) -> list[Fact]:
+    """Insert ``facts`` and run semi-naive rounds from the new ones until
+    nothing new is derived; returns every fact inserted, in order.
+
+    The store must be closed under the rules once ``facts`` are in it,
+    except for derivations that use one of the new facts: the first round
+    fires each rule from every body literal whose predicate the new facts
+    carry.  ``consequences`` passes the heads of its naive first round, and
+    ``CoverCache`` passes the facts a grown background adds to a model it
+    keeps.
+    """
+    inserted: list[Fact] = []
+    while True:
+        delta: dict[tuple[str, int], list[Row]] = {}
+        for f in facts:
+            if store.add(f):
+                inserted.append(f)
+                delta.setdefault((f[0], len(f[1])), []).append(f[1])
+        if not delta:
+            return inserted
+        # seed each literal whose predicate is in the delta from the delta,
+        # the rest from the full store; set semantics absorbs re-derivations
+        facts = set()
+        for rule in rules:
+            for i, (pred, args) in enumerate(rule.body):
+                rows = delta.get((pred, len(args)))
+                if rows:
+                    fire(rule, store, facts, i, rows)
+
+
 def consequences(background: Program, hypothesis: Program) -> FactStore:
     """Least model of ``background ∪ hypothesis`` as a FactStore.
 
@@ -334,22 +367,8 @@ def consequences(background: Program, hypothesis: Program) -> FactStore:
     derived: set[Fact] = set()
     for rule in rules:
         fire(rule, store, derived)
-    while True:
-        delta: dict[tuple[str, int], list[Row]] = {}
-        for f in derived:
-            if store.add(f):
-                delta.setdefault((f[0], len(f[1])), []).append(f[1])
-        if not delta:
-            return store
-        # later rounds: seed each literal whose predicate is in the delta
-        # from the delta, the rest from the full store; set semantics absorbs
-        # re-derivations
-        derived = set()
-        for rule in rules:
-            for i, (pred, args) in enumerate(rule.body):
-                rows = delta.get((pred, len(args)))
-                if rows:
-                    fire(rule, store, derived, i, rows)
+    saturate(store, rules, derived)
+    return store
 
 
 @dataclass(frozen=True)
@@ -374,3 +393,26 @@ def rule_support(rule: Clause, background: Program, positives: Iterable[Atom]) -
     """Number of positives entailed by the background plus this single rule."""
     model = consequences(background, Program.of([rule]))
     return sum(1 for a in positives if model.has_atom(a))
+
+
+def rule_supports(rules: list[Clause], background: Program, positives: Iterable[Atom]) -> list[int]:
+    """``rule_support`` of each rule, from one background store.
+
+    Each rule fires once, naively, into a derived set of its own.  When no
+    rule body uses a head predicate of ``rules``, nothing derived feeds a
+    body, so that set is everything the rule adds to the background's
+    model; otherwise the supports would be inexact, and ValueError is
+    raised.
+    """
+    heads = {r.head.predicate for r in rules}
+    for r in rules:
+        if any(lit.predicate in heads for lit in r.body):
+            raise ValueError(f"rule body uses a head predicate of the hypothesis: {r}")
+    store = FactStore.from_program(background)
+    wanted = [atom_to_fact(a) for a in positives]
+    supports = []
+    for r in rules:
+        derived: set[Fact] = set()
+        fire(compile_clause(r), store, derived)
+        supports.append(sum(1 for f in wanted if f in derived or f in store))
+    return supports

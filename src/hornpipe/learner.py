@@ -38,7 +38,6 @@ from functools import lru_cache
 from typing import Iterator
 
 from . import cover
-from .entailment import coverage
 from .logic import (
     Atom,
     BiasSpec,
@@ -180,11 +179,23 @@ class Verification:
     covered_negatives: tuple[Atom, ...]
 
 
-def verify(background: Program, hypothesis: Program, examples: ExampleSet) -> Verification:
-    """Check a hypothesis against examples with the fixpoint engine."""
-    res = coverage(background, hypothesis, examples)
-    missed = tuple(sorted(set(examples.positives) - res.covered_pos, key=str))
-    bad = tuple(sorted(res.covered_neg, key=str))
+def verify(
+    background: Program,
+    hypothesis: Program,
+    examples: ExampleSet,
+    cache: cover.CoverCache | None = None,
+) -> Verification:
+    """Check a hypothesis against examples with the fixpoint engine.
+
+    ``cache`` carries its last consistent check's model forward when the
+    hypothesis is unchanged and the background has only grown
+    (``CoverCache.check``); otherwise the model is built from scratch.
+    """
+    if cache is None:
+        cache = cover.CoverCache()
+    unreached, reached = cache.check(background, hypothesis, examples)
+    missed = tuple(sorted(unreached, key=str))
+    bad = tuple(sorted(reached, key=str))
     if bad:
         status = "unsound"
     elif missed:
@@ -251,8 +262,9 @@ def solve(
         chosen.append(best[0].clause)
         uncovered &= ~best[1]
 
-    hypothesis = Program.of(chosen)
-    check = verify(background, hypothesis, examples)
+    # enumerate_clauses yields canonical clauses, so no canonicalising here
+    hypothesis = Program(frozenset(chosen))
+    check = verify(background, hypothesis, examples, cache)
     if check.status != "consistent":
         raise RuntimeError(
             f"solver self-check failed ({check.status}) for hypothesis:\n{hypothesis}"

@@ -461,6 +461,18 @@ class ExampleSet:
             neg.setdefault(a)
         return ExampleSet(tuple(pos), tuple(neg))
 
+    def extended(self, positives: tuple[Atom, ...], negatives: tuple[Atom, ...]) -> "ExampleSet":
+        """This set with ``positives`` and ``negatives`` appended, unchecked.
+
+        The caller has checked the new atoms against this set: ground, each
+        new to both sides, and none on both sides.  Nothing is re-validated,
+        so the cost does not grow with this set's checked examples.
+        """
+        out = object.__new__(ExampleSet)
+        object.__setattr__(out, "positives", self.positives + positives)
+        object.__setattr__(out, "negatives", self.negatives + negatives)
+        return out
+
     @cached_property
     def pos_set(self) -> frozenset[Atom]:
         return frozenset(self.positives)

@@ -14,20 +14,30 @@ from the last solved background it extends (``cover.CoverCache``).
 subset checks run in-process, a subset whose constants are new to the state
 adds exactly the facts its own check tabled, and joining it fires no group
 again.  Worker processes' caches do not come back, so with jobs > 1
-aggregation tables for itself.  A subset that breaks solvability has its
-own examples peeled off one at a time (negatives first) before being
-dropped entirely.  A subset taken whole and one cut back advance the state
-on the same path; only the logged action and removed examples differ.  If
-the chronological pass drops too many subsets, seeded shuffled passes
-retry, keeping the best trial.
+aggregation tables for itself.  Each trial keeps one ordered label map
+(``LabelMap``): a joining subset's examples, or those left after peeling,
+are checked against it alone, and it grows when a step is accepted.  A
+subset that breaks solvability has its own examples peeled off one at a
+time (negatives first) before being dropped entirely.  A subset taken
+whole and one cut back advance the state on the same path; only the logged
+action and removed examples differ.  If the chronological pass drops too
+many subsets, seeded shuffled passes retry, keeping the best trial.
 Stage 4 (pruning): drop accepted rules whose standalone support on the
 aggregated positives falls below a fraction of the maximum support.
 
 Every accepted aggregation state is verified exactly once: the solver's
 self-check confirms, with the fixpoint engine, that the hypothesis entails
 all aggregated positives and no aggregated negatives before the solve
-returns it.  Pruning is then re-checked to keep the hypothesis
-negative-safe.  Both checks raise rather than degrade.
+returns it.  Along a trial the check carries the least model forward in the
+shared cache: while the hypothesis stays the same, a step inserts only the
+joining subset's facts, runs semi-naive rounds from them, tests the facts
+it inserted against the earlier negatives and tests the subset's examples
+against the model.  The first step of a trial, every subset check and a
+step whose hypothesis changed rebuild the model from the background.
+Pruning is then re-checked to keep the hypothesis negative-safe, through
+the same cache: when pruning removed nothing and the best trial ran last,
+that check reuses the model its last step verified.  Both checks raise
+rather than degrade.
 
 Solves have no deadline, so every accept, cut-back and drop is a function
 of the bundles, the bias and the config alone, and a rerun on any machine
@@ -43,7 +53,7 @@ from typing import Callable, Iterator
 
 from . import learner
 from .cover import CoverCache
-from .entailment import coverage, rule_support
+from .entailment import rule_supports
 from .ingestion import BundleSource, RawBundle
 from .logic import Atom, BiasSpec, ExampleSet, Program, print_clause
 from .parsing import ParseError, parse_examples, parse_facts
@@ -279,8 +289,52 @@ class AggregationOutcome:
     early_stopped: bool
 
 
+class LabelMap:
+    """One trial's example labels: True for a positive, False for a negative.
+
+    It labels exactly ``examples``, the trial state's examples, which keep
+    the order they were first seen in.  A joining
+    subset's examples, or what is left of them after peeling, are checked
+    against it one by one, so a step costs in proportion to the subset, not
+    to the state.  The map is extended when a step is accepted, never
+    rebuilt.
+    """
+
+    __slots__ = ("labels", "examples")
+
+    def __init__(self, examples: ExampleSet = ExampleSet()):
+        self.examples = examples
+        self.labels: dict[Atom, bool] = dict.fromkeys(examples.positives, True)
+        self.labels.update(dict.fromkeys(examples.negatives, False))
+
+    def join(self, pos, neg) -> ExampleSet | None:
+        """The state's examples plus these, as ``ExampleSet.of`` orders them,
+        or None when an atom would carry both labels.  A duplicate is
+        absorbed.  The map is unchanged."""
+        new: dict[Atom, bool] = {}
+        for label, atoms in ((True, pos), (False, neg)):
+            for a in atoms:
+                have = self.labels.get(a)
+                if have is None:
+                    have = new.setdefault(a, label)
+                if have != label:
+                    return None
+        return self.examples.extended(
+            tuple(a for a, label in new.items() if label), tuple(a for a, label in new.items() if not label)
+        )
+
+    def commit(self, examples: ExampleSet) -> None:
+        """Take ``examples``, a join of this map, as the state's examples."""
+        labels = self.labels
+        for a in examples.positives[len(self.examples.positives) :]:
+            labels[a] = True
+        for a in examples.negatives[len(self.examples.negatives) :]:
+            labels[a] = False
+        self.examples = examples
+
+
 def _try_union(
-    state: AggregationState,
+    labels: LabelMap,
     background: Program,
     pos,
     neg,
@@ -292,9 +346,8 @@ def _try_union(
     `background` is the state's background already unioned with the
     candidate's, so callers union once per candidate, not once per solve.
     """
-    try:
-        examples = ExampleSet.of((*state.examples.positives, *pos), (*state.examples.negatives, *neg))
-    except ValueError:
+    examples = labels.join(pos, neg)
+    if examples is None:
         # candidate contradicts the accepted labels outright
         return None, None
     res = learner.solve(background, examples, bias, cache)
@@ -306,7 +359,7 @@ def _acceptable(res: learner.SolverResult | None) -> bool:
 
 
 def retain_partial(
-    state: AggregationState,
+    labels: LabelMap,
     subset: SubsetInstance,
     background: Program,
     bias: BiasSpec,
@@ -314,12 +367,12 @@ def retain_partial(
 ):
     """Peel examples off a failed candidate until the union solves again.
 
-    `background` is the state's background unioned with the candidate's, as
-    the failed whole-subset attempt built it.  Removal is cumulative,
-    newest-parsed first, negatives before positives; at least one of the
-    candidate's own positives must survive.  Returns (removed_pos,
-    removed_neg, result, background, examples) or None when every reduction
-    fails.
+    `labels` holds the state's examples, and `background` is the state's
+    background unioned with the candidate's, as the failed whole-subset
+    attempt built it.  Removal is cumulative, newest-parsed first, negatives
+    before positives; at least one of the candidate's own positives must
+    survive.  Returns (removed_pos, removed_neg, result, background,
+    examples) or None when every reduction fails.
     """
     pos = list(subset.examples.positives)
     neg = list(subset.examples.negatives)
@@ -330,7 +383,7 @@ def retain_partial(
             removed_neg.append(neg.pop())
         else:
             removed_pos.append(pos.pop())
-        res, examples = _try_union(state, background, pos, neg, bias, cache)
+        res, examples = _try_union(labels, background, pos, neg, bias, cache)
         if _acceptable(res):
             return removed_pos, removed_neg, res, background, examples
     return None
@@ -405,15 +458,16 @@ def _run_trial(
     # config is not read; tests/test_acceptance.py drives trials through
     # this signature, so it stays
     state = _empty_state()
+    labels = LabelMap(state.examples)
     log: list[CandidateDecision] = []
     for subset in order:
         background = state.background.union(subset.background)
         pos, neg = subset.examples.positives, subset.examples.negatives
-        res, examples = _try_union(state, background, pos, neg, bias, cache)
+        res, examples = _try_union(labels, background, pos, neg, bias, cache)
         partial = not _acceptable(res)
         removed_pos = removed_neg = ()
         if partial:
-            reduced = retain_partial(state, subset, background, bias, cache)
+            reduced = retain_partial(labels, subset, background, bias, cache)
             if reduced is None:
                 log.append(
                     CandidateDecision(
@@ -437,6 +491,7 @@ def _run_trial(
                 removed_negatives=tuple(str(a) for a in removed_neg),
             )
         )
+        labels.commit(examples)
         state = AggregationState(
             accepted_ids=(*state.accepted_ids, subset.id),
             background=background,
@@ -466,11 +521,16 @@ def prune_by_support(
     threshold_fraction: float,
 ) -> tuple[Program, tuple[RuleSupport, ...]]:
     """Keep rules whose standalone positive coverage is within a fraction of
-    the best rule's."""
+    the best rule's.
+
+    Supports come from one background store (``entailment.rule_supports``),
+    which needs a hypothesis whose rule bodies use none of its head
+    predicates, as every learned one is; ValueError otherwise.
+    """
     rules = hypothesis.rules()
     if not rules:
         return Program.of(()), ()
-    supports = [rule_support(r, background, positives) for r in rules]
+    supports = rule_supports(rules, background, positives)
     cutoff = threshold_fraction * max(supports)
     records = tuple(
         RuleSupport(rule=print_clause(r), support=s, kept=s >= cutoff)
@@ -522,8 +582,9 @@ def run_pipeline(sources: list[BundleSource], bias: BiasSpec, config: PipelineCo
     pruned, prune_records = prune_by_support(
         best.hypothesis, best.background, best.examples.positives, config.support_threshold
     )
-    leftover = coverage(best.background, pruned, best.examples)
-    if leftover.covered_neg:
+    # an unpruned hypothesis over the last verified state reuses its model
+    _, covered_neg = cache.check(best.background, pruned, best.examples)
+    if covered_neg:
         raise RuntimeError("pruned hypothesis covers an aggregated negative")
 
     if not sources:

@@ -1,0 +1,226 @@
+"""Aggregation steps that cost in proportion to the joining subset.
+
+The solver's self-check carries its least model forward in ``CoverCache``
+while the hypothesis holds and the background only grows, and each trial
+checks a joining subset's examples against one ordered ``LabelMap``.  Both
+are checked here against from-scratch references: the naive model oracle,
+``consequences`` and ``ExampleSet.of``.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from pathlib import Path
+
+from hornpipe import entailment, learner
+from hornpipe.cover import CoverCache
+from hornpipe.entailment import consequences
+from hornpipe.logic import Atom, ExampleSet, Program, atom, const
+from hornpipe.parsing import parse_clause, parse_facts, parse_rules
+from hornpipe.pipeline import LabelMap, PipelineConfig, aggregate, run_checks
+from hornpipe.synthgen import generate_corpus
+
+from oracles import naive_consequences, random_instance
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+# --- the carried model ---------------------------------------------------------
+
+
+def _ground_atoms(*programs: Program) -> set[Atom]:
+    """Every ground atom over the programs' predicates and constants."""
+    shapes, consts = set(), set()
+    for p in programs:
+        for c in p:
+            for a in (c.head, *c.body):
+                shapes.add((a.predicate, a.arity))
+                consts.update(t.name for t in a.args if t.is_const())
+    return {
+        Atom(pred, tuple(const(c) for c in args))
+        for pred, arity in shapes
+        for args in itertools.product(sorted(consts), repeat=arity)
+    }
+
+
+def _chain(seed: int, steps: int = 10) -> int:
+    """Check a random growing chain against fresh models; returns how many
+    checks carried the model forward.
+
+    Between checks the background grows, or the hypothesis changes, or the
+    chain restarts; new examples are drawn on both sides of the current
+    model, and the examples are now and then reordered so that they no
+    longer extend the ones checked before.
+    """
+    rng = random.Random(seed)
+    cache = CoverCache()
+    background, hypothesis = random_instance(rng)
+    examples = ExampleSet()
+    carried = 0
+    for _ in range(steps):
+        model = naive_consequences(background, hypothesis)
+        fresh = sorted(
+            _ground_atoms(background, hypothesis) - {*examples.positives, *examples.negatives}, key=str
+        )
+        new = rng.sample(fresh, min(len(fresh), rng.randint(0, 3)))
+        examples = ExampleSet.of(
+            (*examples.positives, *(a for a in new if a in model)),
+            (*examples.negatives, *(a for a in new if a not in model)),
+        )
+        if rng.random() < 0.1:
+            examples = ExampleSet.of(examples.positives[::-1], examples.negatives[::-1])
+
+        kept = cache._verified
+        missed, bad = cache.check(background, hypothesis, examples)
+        case = f"\nB={background}\nH={hypothesis}\nE={examples}"
+        assert sorted(missed, key=str) == sorted((a for a in examples.positives if a not in model), key=str), case
+        assert sorted(bad, key=str) == sorted((a for a in examples.negatives if a in model), key=str), case
+        now = cache._verified
+        if now is None:
+            assert missed or bad
+            examples = ExampleSet()  # start the labels over
+        else:
+            carried += kept is not None and now.model is kept.model
+            assert now.model.atoms() == model == consequences(background, hypothesis).atoms(), case
+
+        r = rng.random()
+        if r < 0.1:
+            background, hypothesis = random_instance(rng)
+            examples = ExampleSet()
+        elif r < 0.25:
+            _, hypothesis = random_instance(rng)
+        else:
+            extra, _ = random_instance(rng)
+            background = background.union(extra)
+    return carried
+
+
+def test_carried_model_equals_fresh_along_random_chains():
+    """Every model the self-check keeps equals the oracle's and a fresh
+    ``consequences``, and its verdicts equal a from-scratch check, along
+    chains with hypothesis changes, restarts and reordered examples."""
+    carried = sum(_chain(seed) for seed in range(150))
+    assert carried > 300
+
+
+def test_old_negative_entering_the_model_is_caught():
+    """An earlier negative that a grown background adds as a fact, or lets
+    the rules derive, is reported even though only new examples are tested
+    against the model."""
+    background = parse_facts("p(a,b).\n")
+    hypothesis = Program.of([parse_clause("h(X,Y):- p(X,Y).")])
+    examples = ExampleSet.of([atom("h", "a", "b")], [atom("h", "b", "a")])
+    for extra in ("h(b,a).\n", "p(b,a).\n"):
+        cache = CoverCache()
+        assert cache.check(background, hypothesis, examples) == ([], [])
+        model = cache._verified.model
+        grown = background.union(parse_facts(extra))
+        assert cache.check(grown, hypothesis, examples) == ([], [atom("h", "b", "a")])
+        assert ("h", ("b", "a")) in model  # the kept model was carried, not rebuilt
+        assert cache._verified is None
+
+
+def test_carried_model_runs_every_semi_naive_round():
+    """A fact that joins a long recursive chain derives facts many rounds
+    away from it."""
+    background = parse_facts("".join(f"edge(c{i},c{i + 1}).\n" for i in range(8) if i != 3))
+    hypothesis = Program.of(
+        [parse_clause("path(X,Y):- edge(X,Y)."), parse_clause("path(X,Z):- path(X,Y),edge(Y,Z).")]
+    )
+    examples = ExampleSet.of([atom("path", "c0", "c3")], [atom("path", "c8", "c0")])
+    cache = CoverCache()
+    assert cache.check(background, hypothesis, examples) == ([], [])
+    grown = background.union(parse_facts("edge(c3,c4).\n"))
+    longer = ExampleSet.of([*examples.positives, atom("path", "c0", "c8")], examples.negatives)
+    assert cache.check(grown, hypothesis, longer) == ([], [])
+    assert cache._verified.model.atoms() == naive_consequences(grown, hypothesis)
+
+
+# --- the label map -------------------------------------------------------------
+
+
+def test_label_map_joins_exactly_as_example_set_of():
+    """On random chains with clashes and duplicates, a join accepts and
+    rejects what ``ExampleSet.of`` accepts and rejects over the whole union,
+    with the same example order, and a commit leaves the map labelling
+    exactly the committed examples."""
+    rng = random.Random(1993)
+    universe = [atom("h", x, y) for x in "abc" for y in "abc"]
+    clashes = duplicates = commits = 0
+    for _ in range(300):
+        labels = LabelMap()
+        for _ in range(8):
+            pos = [rng.choice(universe) for _ in range(rng.randint(0, 3))]
+            neg = [rng.choice(universe) for _ in range(rng.randint(0, 3))]
+            state = labels.examples
+            try:
+                want = ExampleSet.of((*state.positives, *pos), (*state.negatives, *neg))
+            except ValueError:
+                want = None
+            got = labels.join(pos, neg)
+            assert labels.examples is state  # a join leaves the map as it was
+            if want is None:
+                assert got is None
+                clashes += 1
+                continue
+            assert got is not None
+            assert (got.positives, got.negatives) == (want.positives, want.negatives)
+            duplicates += len(got) < len(state) + len(pos) + len(neg)
+            if rng.random() < 0.7:
+                labels.commit(got)
+                commits += 1
+                assert labels.examples is got
+                assert labels.labels == LabelMap(want).labels
+    assert clashes > 300 and duplicates > 300 and commits > 300
+
+
+# --- work per aggregation step -------------------------------------------------
+
+PER_STEP = 2  # fact insertions allowed per fact or example the joining subset brings
+
+
+def test_self_check_inserts_in_proportion_to_the_joining_subset(monkeypatch):
+    """Along a chronological trial, a step whose hypothesis equals the last
+    one inserts into the self-check's model a bounded multiple of what the
+    joining subset brings, however large the state has grown."""
+    planted = parse_rules((DATA / "planted_rules.rules").read_text(encoding="utf-8"))
+    corpus = generate_corpus(planted, 60, 0.2, seed=0)
+    config = PipelineConfig(max_retries=1)
+    sources = [s.bundle_source() for s in corpus.subsets]
+    _, reliable, _ = run_checks(sources, corpus.bias, config)
+
+    count = {"inside": False, "adds": 0}
+    add, verify = entailment.FactStore.add, learner.verify
+
+    def counting_add(self, fact):
+        count["adds"] += count["inside"]
+        return add(self, fact)
+
+    def counting_verify(*args):
+        count["inside"] = True
+        try:
+            return verify(*args)
+        finally:
+            count["inside"] = False
+
+    by_id = {s.id: s for s in reliable}
+    steps = []  # (inserts, joining facts plus examples, hypothesis unchanged, state facts)
+    last = [None]
+
+    def on_accept(trial, state):
+        joined = by_id[state.accepted_ids[-1]]
+        size = len(joined.background) + len(joined.examples)
+        steps.append((count["adds"], size, state.hypothesis == last[0], len(state.background)))
+        last[0] = state.hypothesis
+        count["adds"] = 0
+
+    monkeypatch.setattr(entailment.FactStore, "add", counting_add)
+    monkeypatch.setattr(learner, "verify", counting_verify)
+    aggregate(reliable, corpus.bias, config, on_accept)
+
+    held = [(adds, size, facts) for adds, size, same, facts in steps if same]
+    assert len(held) >= 40
+    assert held[-1][2] > 20 * held[-1][1]  # the state dwarfs the subset
+    for i, (adds, size, facts) in enumerate(held):
+        assert adds <= PER_STEP * size, f"step {i}: {adds} inserts for a subset of {size} over {facts} facts"

@@ -24,7 +24,7 @@ from hornpipe.cover import (
     covered_atoms,
     covers_any,
 )
-from hornpipe.entailment import FactStore, coverage
+from hornpipe.entailment import FactStore, coverage, rule_support, rule_supports
 from hornpipe.learner import (
     SolverResult,
     candidate_list,
@@ -854,3 +854,26 @@ def test_solve_matches_exhaustive_greedy_cover():
     sizes = {n for _, n in outcomes}
     assert kinds == {"hypothesis", "no_hypothesis"}
     assert {0, 1} <= sizes and max(sizes) >= 2, outcomes
+
+
+def test_rule_supports_equal_rule_support_on_learned_hypotheses():
+    """Supports read from one background store equal one full model per rule."""
+    rng = random.Random(1986)
+    learned = several = 0
+    for _ in range(400):
+        background, ex, bias = random_solve_case(rng)
+        res = solve(background, ex, bias)
+        if res.hypothesis is None or not res.hypothesis.clauses:
+            continue
+        rules = res.hypothesis.rules()
+        learned += 1
+        several += len(rules) > 1
+        want = [rule_support(r, background, ex.positives) for r in rules]
+        assert rule_supports(rules, background, ex.positives) == want, str(res.hypothesis)
+    assert learned >= 100 and several >= 5
+
+
+def test_rule_supports_refuses_a_body_over_a_head_predicate():
+    rules = [parse_clause("q(X):- p(X)."), parse_clause("h(X):- q(X).")]
+    with pytest.raises(ValueError, match="head predicate"):
+        rule_supports(rules, parse_facts("p(a).\n"), [])

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from hornpipe import cover, learner
+from hornpipe import cover, learner, pipeline
 from hornpipe.cover import CoverCache
 from hornpipe.entailment import coverage
 from hornpipe.ingestion import BundleSource, RawBundle
 from hornpipe.parsing import parse_bias, parse_examples, parse_facts, parse_rules
 from hornpipe.pipeline import (
+    LabelMap,
     PipelineConfig,
     SubsetInstance,
     _run_trial,
@@ -318,7 +319,7 @@ def test_retain_partial_peels_contradicting_positive():
     # second positive contradicts the accepted negative label for goal(b,a)
     b = _subset("b", "2024-01-02", "q(c,d).\n", "pos(goal(c,d)).\npos(goal(b,a)).\n")
     union = state_a.background.union(b.background)
-    reduced = retain_partial(state_a, b, union, TEST_BIAS, CoverCache())
+    reduced = retain_partial(LabelMap(state_a.examples), b, union, TEST_BIAS, CoverCache())
     assert reduced is not None
     removed_pos, removed_neg, res, background, examples = reduced
     kept_pos = examples.positives[len(state_a.examples.positives) :]
@@ -419,6 +420,15 @@ def test_run_pipeline_with_no_sources():
     assert report.emptied_at == "no_bundles"
     assert not report.final_hypothesis.clauses
     assert report.pre_prune_rule_count == 0
+
+
+def test_pruned_hypothesis_covering_a_negative_raises(monkeypatch):
+    """The check after pruning reads the aggregated negatives: a pruned
+    hypothesis that derives one stops the run."""
+    unsafe = parse_rules("goal(X,Y):- p(Y,X).\n")  # derives the negative goal(b,a)
+    monkeypatch.setattr(pipeline, "prune_by_support", lambda *args: (unsafe, ()))
+    with pytest.raises(RuntimeError, match="covers an aggregated negative"):
+        run_pipeline([_source({1: _bundle()})], TEST_BIAS, PipelineConfig())
 
 
 def test_run_pipeline_survives_corrupted_corpora():
