@@ -207,7 +207,7 @@ class CoverCache:
                 negative_facts = {}
         else:
             rules = [compile_clause(c) for c in hypothesis.clauses if c.body]
-            model = consequences(background, hypothesis)
+            model = consequences(background, hypothesis, rules)
             inserted = []
             n_pos = n_neg = 0
             negative_facts = {}

@@ -348,20 +348,22 @@ def saturate(store: FactStore, rules: list[CompiledRule], facts: Iterable[Fact])
                     fire(rule, store, facts, i, rows)
 
 
-def consequences(background: Program, hypothesis: Program) -> FactStore:
+def consequences(
+    background: Program, hypothesis: Program, rules: list[CompiledRule] | None = None
+) -> FactStore:
     """Least model of ``background ∪ hypothesis`` as a FactStore.
 
     The background must be ground facts; hypothesis clauses may include
     facts.  Derivation is monotone: the result always contains the
-    background.
+    background.  ``rules``, when passed, are the hypothesis's clauses that
+    have a body, already compiled; otherwise they are compiled here.
     """
     store = FactStore.from_program(background)
-    rules: list[CompiledRule] = []
     for c in hypothesis:
         if c.is_fact():
             store.add(atom_to_fact(c.head))
-        else:
-            rules.append(compile_clause(c))
+    if rules is None:
+        rules = [compile_clause(c) for c in hypothesis if not c.is_fact()]
 
     # round 1: every rule once, naively, over the whole store
     derived: set[Fact] = set()

@@ -5,7 +5,10 @@ with bounded re-extraction attempts.
 Stage 2 (subset checks): each valid subset must admit its own exact-fit
 hypothesis, or it is set aside as unreliable.  This is the one stage that
 fans out over worker processes (PipelineConfig.jobs); every other stage,
-and held-out evaluation, runs in-process.
+and held-out evaluation, runs in-process.  The workers are forked once the
+subsets are built and inherit them with the bias, so a task is a subset's
+index and only indices and results cross between processes; the pool
+therefore needs the ``fork`` start method (Linux).
 Stage 3 (aggregation): grow a global training set by re-solving as each
 subset joins.  Each solve equals a from-scratch one, while the background's
 components (which also answer fact membership) and group unions carry over
@@ -49,6 +52,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from multiprocessing import get_context
 from typing import Callable, Iterator
 
 from . import learner
@@ -204,10 +208,20 @@ class SubsetCheck:
     clause_count: int = 0
 
 
-def _solve_subset(args) -> learner.SolverResult:
-    # module-level, so the pool pickles it by name; learner.solve is looked
-    # up per call, so a wrapper installed on it also runs in workers
-    return learner.solve(*args)
+_inherited: tuple[list[SubsetInstance], BiasSpec] | None = None  # set only in pool workers
+
+
+def _inherit(subsets: list[SubsetInstance], bias: BiasSpec) -> None:
+    global _inherited
+    _inherited = subsets, bias
+
+
+def _solve_subset(i: int) -> learner.SolverResult:
+    # module-level, so the pool pickles the function by name and each task is
+    # an index into the inputs the worker inherited by fork; learner.solve is
+    # looked up per call, so a wrapper installed on it also runs in workers
+    subsets, bias = _inherited
+    return learner.solve(subsets[i].background, subsets[i].examples, bias)
 
 
 def check_subsets(
@@ -219,16 +233,24 @@ def check_subsets(
     """Keep the subsets that admit an exact-fit hypothesis on their own.
 
     Order is preserved; work is independent per subset, so it fans out over
-    config.jobs processes when asked.  In-process solves share ``cache``
-    when one is passed, so aggregation can reuse their tables; without one,
-    each solve gets a fresh cache.
+    up to config.jobs processes when asked.  The workers are forked after
+    the subsets and bias are built and inherit them, so nothing is pickled
+    on the way in but subset indices, sent in chunks of about a quarter of
+    a worker's share (a slow chunk does not hold up the pool), and the
+    pool starts no more workers than there are chunks.  In-process solves
+    share ``cache`` when one is passed, so aggregation can reuse their
+    tables; without one, and in every worker, each solve gets a fresh cache.
     """
-    args = [(s.background, s.examples, bias) for s in subsets]
-    if config.jobs > 1 and len(subsets) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_solve_subset, args))
+    n = len(subsets)
+    if config.jobs > 1 and n > 1:
+        chunk = -(-n // (4 * config.jobs))
+        workers = min(config.jobs, -(-n // chunk))
+        with ProcessPoolExecutor(
+            workers, get_context("fork"), initializer=_inherit, initargs=(subsets, bias)
+        ) as pool:
+            results = list(pool.map(_solve_subset, range(n), chunksize=chunk))
     else:
-        results = [learner.solve(*a, cache) for a in args]
+        results = [learner.solve(s.background, s.examples, bias, cache) for s in subsets]
     reliable: list[SubsetInstance] = []
     checks: list[SubsetCheck] = []
     for subset, res in zip(subsets, results):

@@ -13,11 +13,11 @@ import itertools
 import random
 from pathlib import Path
 
-from hornpipe import entailment, learner
+from hornpipe import cover, entailment, learner
 from hornpipe.cover import CoverCache
 from hornpipe.entailment import consequences
 from hornpipe.logic import Atom, ExampleSet, Program, atom, const
-from hornpipe.parsing import parse_clause, parse_facts, parse_rules
+from hornpipe.parsing import parse_bias, parse_clause, parse_facts, parse_rules
 from hornpipe.pipeline import LabelMap, PipelineConfig, aggregate, run_checks
 from hornpipe.synthgen import generate_corpus
 
@@ -135,6 +135,28 @@ def test_carried_model_runs_every_semi_naive_round():
     longer = ExampleSet.of([*examples.positives, atom("path", "c0", "c8")], examples.negatives)
     assert cache.check(grown, hypothesis, longer) == ([], [])
     assert cache._verified.model.atoms() == naive_consequences(grown, hypothesis)
+
+
+def test_fresh_cache_self_check_compiles_each_rule_once(monkeypatch):
+    """A solve with no cache, as each pooled subset check is, rebuilds its
+    self-check's model from the rules the check compiled for keeping."""
+    bias = parse_bias("head_pred(goal,2).\nbody_pred(p,2).\nbody_pred(q,2).\nmax_vars(2).\nmax_body(1).\n")
+    background = parse_facts("p(a,b).\nq(c,d).\n")
+    examples = ExampleSet.of([atom("goal", "a", "b"), atom("goal", "c", "d")], [atom("goal", "b", "a")])
+    compiled = []
+    compile_clause = entailment.compile_clause
+
+    def counting_compile(c):
+        compiled.append(c)
+        return compile_clause(c)
+
+    monkeypatch.setattr(entailment, "compile_clause", counting_compile)
+    monkeypatch.setattr(cover, "compile_clause", counting_compile)
+    result = learner.solve(background, examples, bias)
+    assert result.outcome == "hypothesis"
+    rules = result.hypothesis.rules()
+    assert len(rules) == 2
+    assert sorted(compiled, key=str) == rules
 
 
 # --- the label map -------------------------------------------------------------
