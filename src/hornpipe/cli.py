@@ -8,8 +8,9 @@ reprints a rules file in canonical form.
 
 Pipeline settings resolve as defaults, then config file (``--config`` or
 the HORNPIPE_CONFIG environment variable; ``key = value`` lines), then
-flags.  ``--jobs`` fans out subset checks only; ``eval`` and ``diff`` run
-in-process and take no ``--jobs`` (passing it is a usage error, exit 2).
+flags.  ``check`` and ``learn`` still accept ``--jobs`` (``learn`` writes it
+to the report's config record), but every stage runs in-process; ``eval``
+and ``diff`` take no ``--jobs`` (passing it is a usage error, exit 2).
 
 Exit codes: 0 success, 1 empty hypothesis / nothing reliable, 2 validation
 or config error, 3 I/O error, 4 internal error (a failed invariant check).
@@ -100,7 +101,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--retries", type=int, help="max aggregation trials, shuffles included")
     p.add_argument("--attempts", type=int, help="extraction attempts per bundle")
     p.add_argument("--seed", type=int, help="root seed for shuffling")
-    p.add_argument("--jobs", type=int, help="worker processes for subset checks")
+    p.add_argument("--jobs", type=int, help="recorded in the report; subset checks run in-process")
 
 
 def _load_corpus(args: argparse.Namespace):

@@ -67,7 +67,6 @@ from .entailment import (
     FactStore,
     atom_to_fact,
     background_facts,
-    compile_clause,
     consequences,
     fire,
     saturate,
@@ -206,7 +205,7 @@ class CoverCache:
                 n_pos = n_neg = 0  # not an extension: check every example
                 negative_facts = {}
         else:
-            rules = [compile_clause(c) for c in hypothesis.clauses if c.body]
+            rules = []
             model = consequences(background, hypothesis, rules)
             inserted = []
             n_pos = n_neg = 0

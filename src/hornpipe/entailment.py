@@ -349,21 +349,22 @@ def saturate(store: FactStore, rules: list[CompiledRule], facts: Iterable[Fact])
 
 
 def consequences(
-    background: Program, hypothesis: Program, rules: list[CompiledRule] | None = None
+    background: Program, hypothesis: Program, compiled: list[CompiledRule] | None = None
 ) -> FactStore:
     """Least model of ``background ∪ hypothesis`` as a FactStore.
 
     The background must be ground facts; hypothesis clauses may include
     facts.  Derivation is monotone: the result always contains the
-    background.  ``rules``, when passed, are the hypothesis's clauses that
-    have a body, already compiled; otherwise they are compiled here.
+    background.  When ``compiled`` is passed, the hypothesis's rules as
+    compiled here are appended to it, so a caller that keeps the model can
+    extend it with ``saturate`` without compiling them again.
     """
     store = FactStore.from_program(background)
-    for c in hypothesis:
-        if c.is_fact():
-            store.add(atom_to_fact(c.head))
-    if rules is None:
-        rules = [compile_clause(c) for c in hypothesis if not c.is_fact()]
+    for a in hypothesis.facts():
+        store.add(atom_to_fact(a))
+    rules = [compile_clause(c) for c in hypothesis.rules()]
+    if compiled is not None:
+        compiled.extend(rules)
 
     # round 1: every rule once, naively, over the whole store
     derived: set[Fact] = set()

@@ -3,21 +3,16 @@
 Stage 1 (validation): parse and vocabulary/type/label checks per bundle,
 with bounded re-extraction attempts.
 Stage 2 (subset checks): each valid subset must admit its own exact-fit
-hypothesis, or it is set aside as unreliable.  This is the one stage that
-fans out over worker processes (PipelineConfig.jobs); every other stage,
-and held-out evaluation, runs in-process.  The workers are forked once the
-subsets are built and inherit them with the bias, so a task is a subset's
-index and only indices and results cross between processes; the pool
-therefore needs the ``fork`` start method (Linux).
+hypothesis, or it is set aside as unreliable.  Every stage, and held-out
+evaluation, runs in-process; ``PipelineConfig.jobs`` is still accepted and
+written to the report's config record, but nothing reads it.
 Stage 3 (aggregation): grow a global training set by re-solving as each
 subset joins.  Each solve equals a from-scratch one, while the background's
 components (which also answer fact membership) and group unions carry over
 from the last solved background it extends (``cover.CoverCache``).
-``run_pipeline`` passes one cache through stages 2 and 3, so when the
-subset checks run in-process, a subset whose constants are new to the state
-adds exactly the facts its own check tabled, and joining it fires no group
-again.  Worker processes' caches do not come back, so with jobs > 1
-aggregation tables for itself.  Each trial keeps one ordered label map
+``run_pipeline`` passes one cache through stages 2 and 3, so a subset whose
+constants are new to the state adds exactly the facts its own check tabled,
+and joining it fires no group again.  Each trial keeps one ordered label map
 (``LabelMap``): a joining subset's examples, or those left after peeling,
 are checked against it alone, and it grows when a step is accepted.  A
 subset that breaks solvability has its own examples peeled off one at a
@@ -50,9 +45,7 @@ writes the same report.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from multiprocessing import get_context
 from typing import Callable, Iterator
 
 from . import learner
@@ -75,7 +68,7 @@ class PipelineConfig:
     max_retries: int = DEFAULT_MAX_RETRIES  # aggregation trials, shuffles included
     validation_attempts: int = DEFAULT_VALIDATION_ATTEMPTS
     seed: int = 0
-    jobs: int = 1
+    jobs: int = 1  # recorded in the report only; subset checks run in-process
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.retry_fail_threshold <= 1.0:
@@ -208,22 +201,6 @@ class SubsetCheck:
     clause_count: int = 0
 
 
-_inherited: tuple[list[SubsetInstance], BiasSpec] | None = None  # set only in pool workers
-
-
-def _inherit(subsets: list[SubsetInstance], bias: BiasSpec) -> None:
-    global _inherited
-    _inherited = subsets, bias
-
-
-def _solve_subset(i: int) -> learner.SolverResult:
-    # module-level, so the pool pickles the function by name and each task is
-    # an index into the inputs the worker inherited by fork; learner.solve is
-    # looked up per call, so a wrapper installed on it also runs in workers
-    subsets, bias = _inherited
-    return learner.solve(subsets[i].background, subsets[i].examples, bias)
-
-
 def check_subsets(
     subsets: list[SubsetInstance],
     bias: BiasSpec,
@@ -232,25 +209,12 @@ def check_subsets(
 ) -> tuple[list[SubsetInstance], list[SubsetCheck]]:
     """Keep the subsets that admit an exact-fit hypothesis on their own.
 
-    Order is preserved; work is independent per subset, so it fans out over
-    up to config.jobs processes when asked.  The workers are forked after
-    the subsets and bias are built and inherit them, so nothing is pickled
-    on the way in but subset indices, sent in chunks of about a quarter of
-    a worker's share (a slow chunk does not hold up the pool), and the
-    pool starts no more workers than there are chunks.  In-process solves
-    share ``cache`` when one is passed, so aggregation can reuse their
-    tables; without one, and in every worker, each solve gets a fresh cache.
+    Order is preserved.  The solves share ``cache`` when one is passed, so
+    aggregation can reuse their tables; without one, each solve gets a
+    fresh cache.  ``config`` is not read (its ``jobs`` no longer starts a
+    pool); the parameter stays for existing callers.
     """
-    n = len(subsets)
-    if config.jobs > 1 and n > 1:
-        chunk = -(-n // (4 * config.jobs))
-        workers = min(config.jobs, -(-n // chunk))
-        with ProcessPoolExecutor(
-            workers, get_context("fork"), initializer=_inherit, initargs=(subsets, bias)
-        ) as pool:
-            results = list(pool.map(_solve_subset, range(n), chunksize=chunk))
-    else:
-        results = [learner.solve(s.background, s.examples, bias, cache) for s in subsets]
+    results = [learner.solve(s.background, s.examples, bias, cache) for s in subsets]
     reliable: list[SubsetInstance] = []
     checks: list[SubsetCheck] = []
     for subset, res in zip(subsets, results):

@@ -13,7 +13,7 @@ import itertools
 import random
 from pathlib import Path
 
-from hornpipe import cover, entailment, learner
+from hornpipe import entailment, learner
 from hornpipe.cover import CoverCache
 from hornpipe.entailment import consequences
 from hornpipe.logic import Atom, ExampleSet, Program, atom, const
@@ -138,8 +138,9 @@ def test_carried_model_runs_every_semi_naive_round():
 
 
 def test_fresh_cache_self_check_compiles_each_rule_once(monkeypatch):
-    """A solve with no cache, as each pooled subset check is, rebuilds its
-    self-check's model from the rules the check compiled for keeping."""
+    """A solve with no cache, as a subset check without a shared one is,
+    compiles each hypothesis rule once for its self-check's model and the
+    rules it keeps."""
     bias = parse_bias("head_pred(goal,2).\nbody_pred(p,2).\nbody_pred(q,2).\nmax_vars(2).\nmax_body(1).\n")
     background = parse_facts("p(a,b).\nq(c,d).\n")
     examples = ExampleSet.of([atom("goal", "a", "b"), atom("goal", "c", "d")], [atom("goal", "b", "a")])
@@ -151,7 +152,6 @@ def test_fresh_cache_self_check_compiles_each_rule_once(monkeypatch):
         return compile_clause(c)
 
     monkeypatch.setattr(entailment, "compile_clause", counting_compile)
-    monkeypatch.setattr(cover, "compile_clause", counting_compile)
     result = learner.solve(background, examples, bias)
     assert result.outcome == "hypothesis"
     rules = result.hypothesis.rules()

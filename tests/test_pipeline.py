@@ -225,71 +225,15 @@ def _numbered_subsets(n: int) -> list[SubsetInstance]:
     return subsets + [_subset("s-orphan", "2024-02-01", "q(z,z).\n", "pos(goal(a0,b0)).\n")]
 
 
-def test_pooled_checks_never_pickle_a_subset():
-    """Workers inherit the subsets by fork and take indices, so a background
-    that cannot be pickled still reaches them, across several chunks."""
-    subsets = [
-        dataclasses.replace(s, background=_Unpicklable(s.background.clauses))
-        for s in _numbered_subsets(4 * 2 + 5)
-    ]
+def test_checks_with_jobs_never_pickle_a_subset():
+    """``jobs`` starts no pool, so a background that cannot be pickled is
+    checked in-process all the same."""
+    subsets = [dataclasses.replace(s, background=_Unpicklable(s.background.clauses)) for s in _numbered_subsets(5)]
     with pytest.raises(TypeError):
         pickle.dumps(subsets[0])
     serial = check_subsets(subsets, TEST_BIAS, PipelineConfig(jobs=1))
-    parallel = check_subsets(subsets, TEST_BIAS, PipelineConfig(jobs=2))
-    assert parallel == serial
-    assert [c.subset_id for c in parallel[1]] == [s.id for s in subsets]
-    assert [c.reliable for c in parallel[1]] == [True] * 12 + [False]
-
-
-def test_a_wrapper_on_solve_runs_in_the_workers(monkeypatch):
-    """Pooled checks call ``learner.solve`` through the module attribute, so
-    a wrapper installed on it before the pool forks runs in every worker."""
-    real_solve = learner.solve
-
-    def refusing_solve(*args):
-        return dataclasses.replace(real_solve(*args), outcome="no_hypothesis", hypothesis=None)
-
-    monkeypatch.setattr(learner, "solve", refusing_solve)
-    subsets = _numbered_subsets(6)
-    reliable, checks = check_subsets(subsets, TEST_BIAS, PipelineConfig(jobs=2))
-    assert reliable == []
-    assert [c.outcome for c in checks] == ["no_hypothesis"] * len(subsets)
-
-
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records how it was built and runs
-    the tasks in this process, so no worker is forked."""
-
-    def __init__(self, max_workers, mp_context, initializer, initargs):
-        self.built.append((max_workers, mp_context.get_start_method()))
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize):
-        self.built.append(chunksize)
-        return map(fn, tasks)
-
-
-@pytest.mark.parametrize(
-    "jobs, n, workers, chunk",
-    [(8, 2, 2, 1), (2, 12, 2, 2), (3, 4, 3, 1), (2, 40, 2, 5)],
-)
-def test_pool_starts_no_more_workers_than_chunks(monkeypatch, jobs, n, workers, chunk):
-    """A fork pool starts every worker up front, so ``--jobs 8`` over two
-    subsets must not fork eight."""
-    built = []
-    monkeypatch.setattr(_InlinePool, "built", built, raising=False)
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(pipeline, "_inherited", None)
-    subsets = _numbered_subsets(n)
-    pooled = check_subsets(subsets, TEST_BIAS, PipelineConfig(jobs=jobs))
-    assert built == [(workers, "fork"), chunk]
-    assert pooled == check_subsets(subsets, TEST_BIAS, PipelineConfig(jobs=1))
+    assert check_subsets(subsets, TEST_BIAS, PipelineConfig(jobs=2)) == serial
+    assert [c.reliable for c in serial[1]] == [True] * 4 + [False]
 
 
 def test_aggregation_reuses_the_subset_checks_tables(monkeypatch):
