@@ -17,12 +17,12 @@ candidate.  A CandidateList, built once per bias, numbers the distinct
 slotted groups ``(head predicate, head arity, head_slots, key)``, gives
 each candidate the indices of its own, and holds each distinct group once,
 so a solve finds the groups the cache lacks without walking the candidates.
-A solve reads each slotted group's union once, holds its negatives in one
-WantedSet and its missing positives in another, and computes one bitmask
-per slotted group and side: the wanted atoms of the group's head that its
-solutions reach.  A candidate's verdict is then one AND of its groups'
-masks: it covers a negative exactly when that AND is non-zero, and its
-covered positives are the set bits.
+A solve numbers its positives and negatives once, in one WantedSet, reads
+each slotted group's union once and computes one bitmask per slotted
+group: the wanted atoms of the group's head that its solutions reach.  A
+candidate's verdict is then one AND of its groups' masks: the atoms it
+derives are the set bits, so it covers a negative exactly when a negative's
+bit is set.
 Results are exact: equivalence with the fixpoint engine and with exhaustive
 oracles is property-tested.
 
@@ -67,6 +67,7 @@ from .entailment import (
     FactStore,
     atom_to_fact,
     background_facts,
+    compile_rules,
     consequences,
     fire,
     saturate,
@@ -76,9 +77,8 @@ from .logic import Atom, Clause, ExampleSet, Program, connected_groups
 
 @dataclass(frozen=True)
 class Group:
-    head_slots: tuple[int, ...]  # head-arg indices this group binds, ascending
     preds: frozenset[str]
-    rule: Clause  # head: the head variables at head_slots; body: the group's literals
+    rule: Clause  # head: the head variables the group binds; body: the group's literals
     key: str  # the rule's content up to renaming: head arity, then numbered literals
 
     @cached_property
@@ -93,21 +93,11 @@ class Candidate:
 
     clause: Clause
     body_len: int
-    groups: tuple[Group, ...]
 
     @cached_property
     def text(self) -> str:
         # read only for the candidates a solve can pick
         return str(self.clause)
-
-
-class _ComponentView:
-    """One constant-connected component, keyed by its facts."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, facts: list[Fact]):
-        self.key = frozenset(facts)
 
 
 class _Added:
@@ -125,22 +115,28 @@ class SolvedBackground:
     """A background as the solver reads it: the component of each constant,
     and each group's solutions unioned over the components.
 
-    A fact lies in the component of each of its constants, so the components
-    also answer fact membership.  ``unions`` maps a group key to its
-    solutions and omits groups that have none.  A published form is never
-    mutated; a form derived from it copies what changes and shares the rest.
+    A component is the frozenset of its facts.  A fact lies in the
+    component of each of its constants, so the components also answer fact
+    membership.  ``unions`` maps a group key to its solutions and omits
+    groups that have none.  A published form is never mutated; a form
+    derived from it copies what changes and shares the rest.
     """
 
     clauses: frozenset[Clause]
-    component_of: dict[str, _ComponentView]
+    component_of: dict[str, frozenset[Fact]]
     unions: dict[str, frozenset]
 
-    def has_atom(self, a: Atom) -> bool:
-        """Whether the ground atom is a background fact: one in the component
-        of its first constant."""
-        fact = atom_to_fact(a)
-        view = self.component_of.get(fact[1][0])
-        return view is not None and fact in view.key
+    def facts_in(self, wanted: WantedSet) -> int:
+        """The wanted atoms that are background facts, as a bitmask: each
+        looked up in the component of its first constant."""
+        out = 0
+        component_of = self.component_of
+        for (pred, _), rows in wanted.by_head.items():
+            for i, args in rows:
+                facts = component_of.get(args[0])
+                if facts is not None and (pred, args) in facts:
+                    out |= 1 << i
+        return out
 
 
 _EMPTY = SolvedBackground(frozenset(), {}, {})
@@ -153,7 +149,6 @@ class _Verified(NamedTuple):
 
     clauses: frozenset[Clause]
     hypothesis: frozenset[Clause]
-    rules: list[CompiledRule]
     model: FactStore
     examples: ExampleSet
     negative_facts: dict[Fact, Atom]
@@ -196,8 +191,8 @@ class CoverCache:
         else:
             kept = None
         if kept is not None:
-            rules, model = kept.rules, kept.model
-            inserted = saturate(model, rules, background_facts(new))
+            model = kept.model
+            inserted = saturate(model, compile_rules(hypothesis), background_facts(new))
             old = kept.examples
             n_pos, n_neg = len(old.positives), len(old.negatives)
             negative_facts = kept.negative_facts
@@ -205,8 +200,7 @@ class CoverCache:
                 n_pos = n_neg = 0  # not an extension: check every example
                 negative_facts = {}
         else:
-            rules = []
-            model = consequences(background, hypothesis, rules)
+            model = consequences(background, hypothesis)
             inserted = []
             n_pos = n_neg = 0
             negative_facts = {}
@@ -218,7 +212,7 @@ class CoverCache:
                 bad.append(a)
             negative_facts[fact] = a
         if not missed and not bad:
-            self._verified = _Verified(clauses, hypothesis.clauses, rules, model, examples, negative_facts)
+            self._verified = _Verified(clauses, hypothesis.clauses, model, examples, negative_facts)
         return missed, bad
 
     def table(self, view: _Added, groups: Iterable[Group]) -> dict[str, frozenset]:
@@ -264,13 +258,13 @@ class CoverCache:
         new = list(background_facts(clauses - base.clauses))
         # a new fact joins every base component it shares a constant with
         touched = {base.component_of[c] for _, args in new for c in args if c in base.component_of}
-        added = _Added([*new, *(f for view in touched for f in view.key)])
+        added = _Added([*new, *(f for facts in touched for f in facts)])
         component_of = dict(base.component_of)
         for facts in added.store.components():
-            view = _ComponentView(facts)
+            component = frozenset(facts)
             for _, args in facts:
                 for c in args:
-                    component_of[c] = view
+                    component_of[c] = component
         # every match of a group lies inside one component, so one firing over
         # the added facts unions the group's solutions in their components;
         # a merged component keeps every fact of the base components it
@@ -316,7 +310,7 @@ class CandidateList:
                 if hit is None:
                     hit = shared[content] = (len(shared), _group(clause.head, content, lits))
                 mine.append(hit)
-            candidates.append(Candidate(clause, len(clause.body), tuple(g for _, g in mine)))
+            candidates.append(Candidate(clause, len(clause.body)))
             uses.append(tuple(i for i, _ in mine))
         self.candidates = tuple(candidates)
         self.uses = tuple(uses)
@@ -365,7 +359,7 @@ def _group(head: Atom, content: tuple, lits: tuple[Atom, ...]) -> Group:
     # the arity prefix keeps h(V0):- p(V0,V1) and h(V0,V1):- p(V0,V1) apart
     key = f"{len(slots)}:" + ",".join(f"{pred}({','.join(map(str, args))})" for pred, args in body)
     rule = Clause(Atom(head.predicate, tuple(head.args[s] for s in slots)), lits)
-    return Group(slots, frozenset(pred for pred, _ in body), rule, key)
+    return Group(frozenset(pred for pred, _ in body), rule, key)
 
 
 @dataclass(frozen=True)
@@ -387,17 +381,21 @@ def coverage_tables(candidates: CandidateList, solved: SolvedBackground) -> Cove
 class WantedSet:
     """Wanted ground atoms in a fixed order, numbered across head predicates.
 
-    Bit i of a slotted group's mask is set when atom i has the group's head
-    predicate and arity and its arguments at the group's head slots are
-    among the group's solutions.  A candidate derives atom i exactly when
-    bit i is set in every one of its slotted groups' masks.
+    A solve numbers its positives and then its negatives in one set, so one
+    mask per slotted group answers for both.  Bit i of a slotted group's
+    mask is set when atom i has the group's head predicate and arity and
+    its arguments at the group's head slots are among the group's
+    solutions.  A candidate derives atom i exactly when bit i is set in
+    every one of its slotted groups' masks.  ``by_head`` maps each distinct
+    ``(predicate, arity)`` to its atoms' indices and argument rows, in
+    first-occurrence order.
     """
 
     def __init__(self, atoms: Iterable[Atom]):
         self.atoms = tuple(atoms)
-        self._by_head: dict[tuple[str, int], list[tuple[int, tuple[str, ...]]]] = {}
+        self.by_head: dict[tuple[str, int], list[tuple[int, tuple[str, ...]]]] = {}
         for i, a in enumerate(self.atoms):
-            self._by_head.setdefault((a.predicate, len(a.args)), []).append((i, tuple([t.name for t in a.args])))
+            self.by_head.setdefault((a.predicate, len(a.args)), []).append((i, tuple([t.name for t in a.args])))
         self._projections: dict[tuple[str, int, tuple[int, ...]], dict[tuple[str, ...], int]] = {}
 
     def __len__(self) -> int:
@@ -410,7 +408,7 @@ class WantedSet:
         if proj is None:
             proj = self._projections[pred, arity, slots] = {}
             every = len(slots) == arity  # slots ascend, so they are all of them in order
-            for i, args in self._by_head.get((pred, arity), ()):
+            for i, args in self.by_head.get((pred, arity), ()):
                 key = args if every else tuple([args[s] for s in slots])
                 proj[key] = proj.get(key, 0) | 1 << i
         # walk whichever side is smaller: the group's solutions or the
@@ -426,10 +424,10 @@ class WantedSet:
         return out
 
 
-def _derived(tables: CoverTables, wanted: WantedSet) -> list[int]:
-    """Per candidate, the wanted atoms it derives: the AND of its slotted
-    groups' masks, each mask computed once.  A group with no solutions
-    derives nothing."""
+def covered_atoms(tables: CoverTables, wanted: WantedSet) -> list[int]:
+    """Per candidate, the wanted atoms it derives, as a mask over
+    ``wanted.atoms``: the AND of its slotted groups' masks, each mask
+    computed once.  A group with no solutions derives nothing."""
     masks = [wanted.mask(s, u) if u else 0 for s, u in zip(tables.candidates.slotted, tables.unions)]
     out = []
     for uses in tables.candidates.uses:
@@ -440,12 +438,7 @@ def _derived(tables: CoverTables, wanted: WantedSet) -> list[int]:
     return out
 
 
-def covers_any(tables: CoverTables, negatives: WantedSet) -> list[bool]:
-    """Per candidate, whether it derives any of the negatives: the
-    negative-safety check."""
-    return [got != 0 for got in _derived(tables, negatives)]
-
-
-def covered_atoms(tables: CoverTables, positives: WantedSet) -> list[int]:
-    """Per candidate, the positives it derives, as a mask over ``positives.atoms``."""
-    return _derived(tables, positives)
+def covers_any(tables: CoverTables, wanted: WantedSet) -> list[bool]:
+    """Per candidate, whether it derives any of the wanted atoms.  The solver
+    reads ``covered_atoms``; ``hornbench/tracing.py`` still wraps this name."""
+    return [got != 0 for got in covered_atoms(tables, wanted)]

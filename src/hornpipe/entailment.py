@@ -348,23 +348,22 @@ def saturate(store: FactStore, rules: list[CompiledRule], facts: Iterable[Fact])
                     fire(rule, store, facts, i, rows)
 
 
-def consequences(
-    background: Program, hypothesis: Program, compiled: list[CompiledRule] | None = None
-) -> FactStore:
+def compile_rules(hypothesis: Program) -> list[CompiledRule]:
+    """The hypothesis's rules, compiled; its facts are not among them."""
+    return [compile_clause(c) for c in hypothesis.rules()]
+
+
+def consequences(background: Program, hypothesis: Program) -> FactStore:
     """Least model of ``background ∪ hypothesis`` as a FactStore.
 
     The background must be ground facts; hypothesis clauses may include
     facts.  Derivation is monotone: the result always contains the
-    background.  When ``compiled`` is passed, the hypothesis's rules as
-    compiled here are appended to it, so a caller that keeps the model can
-    extend it with ``saturate`` without compiling them again.
+    background.
     """
     store = FactStore.from_program(background)
     for a in hypothesis.facts():
         store.add(atom_to_fact(a))
-    rules = [compile_clause(c) for c in hypothesis.rules()]
-    if compiled is not None:
-        compiled.extend(rules)
+    rules = compile_rules(hypothesis)
 
     # round 1: every rule once, naively, over the whole store
     derived: set[Fact] = set()

@@ -20,10 +20,12 @@ assignment is kept only if no reordering of its literals reads less
 Bodies are checked on integer literals, and atoms and clauses are built
 only for the clauses kept.
 
-solve() keeps the clauses that derive no negative example and at least one
-positive, then greedily picks clauses until all positives are covered.
-Ties fall to fewer body literals, then canonical text.  The result is
-re-checked against the fixpoint engine before it is returned.
+solve() numbers its positives and negatives once, in one wanted set, and
+scores every candidate against it in one pass.  It keeps the clauses that
+derive no negative example and at least one positive not already a fact,
+then greedily picks clauses until all positives are covered.  Ties fall to
+fewer body literals, then canonical text.  The result is re-checked
+against the fixpoint engine before it is returned.
 
 A solve has no deadline: the hypothesis space is finite and greedy cover
 stops at max_clauses, so every solve ends, and its outcome depends on the
@@ -218,7 +220,12 @@ def solve(
     over a growing background cheap: each call derives the background's
     components and group unions from the last one it extends.
     """
-    examples.check_predicates(bias)
+    # positives take the low bits, negatives the rest
+    wanted = cover.WantedSet((*examples.positives, *examples.negatives))
+    heads, vocab = bias.head_predicates, bias.vocabulary
+    for pred, arity in wanted.by_head:
+        if pred not in heads or vocab[pred] != arity:
+            raise ValueError(f"example predicate {pred}/{arity} is not a declared head predicate")
     candidates = candidate_list(bias)
     stats = SolverStats(clauses_enumerated=len(candidates))
 
@@ -228,22 +235,20 @@ def solve(
     if cache is None:
         cache = cover.CoverCache()
     solved = cache.solved(background, candidates)
+    positives = (1 << len(examples.positives)) - 1
+    negatives = (1 << len(wanted)) - 1 - positives
+    facts = solved.facts_in(wanted)
     # a negative already present as a fact can never be separated
-    if any(solved.has_atom(n) for n in examples.negatives):
+    if facts & negatives:
         return done("no_hypothesis", None)
-    missing = tuple(p for p in examples.positives if not solved.has_atom(p))
-    if not missing:
+    uncovered = positives & ~facts
+    if not uncovered:
         return done("hypothesis", Program.of(()))
 
-    negatives = cover.WantedSet(examples.negatives)
-    positives = cover.WantedSet(missing)
-    tables = cover.coverage_tables(candidates, solved)
-    unsafe = cover.covers_any(tables, negatives)
-    derived = cover.covered_atoms(tables, positives)
-    safe = unsafe.count(False)
-    usable = [(cand, got) for cand, bad, got in zip(candidates, unsafe, derived) if not bad and got]
+    derived = cover.covered_atoms(cover.coverage_tables(candidates, solved), wanted)
+    safe = sum(1 for got in derived if not got & negatives)
+    usable = [(cand, got) for cand, got in zip(candidates, derived) if got & uncovered and not got & negatives]
 
-    uncovered = (1 << len(positives)) - 1
     chosen: list[Clause] = []
     while uncovered:
         if len(chosen) >= bias.max_clauses:

@@ -477,14 +477,5 @@ class ExampleSet:
     def pos_set(self) -> frozenset[Atom]:
         return frozenset(self.positives)
 
-    def check_predicates(self, bias: BiasSpec) -> None:
-        """Every example must be an atom of a declared head predicate, at its arity."""
-        heads, vocab = bias.head_predicates, bias.vocabulary
-        for a in (*self.positives, *self.negatives):
-            if a.predicate not in heads or vocab[a.predicate] != a.arity:
-                raise ValueError(
-                    f"example predicate {a.predicate}/{a.arity} is not a declared head predicate"
-                )
-
     def __len__(self) -> int:
         return len(self.positives) + len(self.negatives)

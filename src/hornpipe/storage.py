@@ -27,7 +27,6 @@ from .parsing import (
     parse_facts,
     parse_rules,
     print_bias,
-    print_examples,
 )
 
 BK_FILE = "bk.bk"
@@ -130,23 +129,7 @@ def write_manifest(corpus_dir: Path, manifest: dict) -> None:
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load_manifest(corpus_dir: Path) -> dict:
-    return json.loads((Path(corpus_dir) / MANIFEST_FILE).read_text(encoding="utf-8"))
-
-
 # ------------------------------------------------------------------ scenarios
-
-
-def write_scenario(
-    scenarios_dir: Path,
-    scenario_id: str,
-    background: Program,
-    examples: ExampleSet,
-    tags: tuple[str, ...] = (),
-) -> Path:
-    meta = {"tags": ",".join(tags)} if tags else {}
-    stored = StoredSubset(scenario_id, print_program(background), print_examples(examples), meta)
-    return write_subset(Path(scenarios_dir), stored)
 
 
 def load_scenario_dir(d: Path) -> tuple[str, Program, ExampleSet, tuple[str, ...]]:

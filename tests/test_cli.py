@@ -6,7 +6,7 @@ import pytest
 from hornpipe.cli import CONFIG_ENV, main
 from hornpipe.logic import print_clause
 from hornpipe.parsing import parse_rules
-from hornpipe.storage import load_manifest, load_subsets, read_rules
+from hornpipe.storage import MANIFEST_FILE, load_subsets, read_rules
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -49,7 +49,7 @@ def test_gen_writes_a_loadable_corpus(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "wrote 8 subsets" in stdout and "(2 corrupted)" in stdout
     assert len(load_subsets(out)) == 8
-    manifest = load_manifest(out)
+    manifest = json.loads((out / MANIFEST_FILE).read_text(encoding="utf-8"))
     assert len(manifest["corrupted"]) == 2
     assert manifest["rules"] == [print_clause(c) for c in parse_rules(PLANT).rules()]
 
@@ -324,7 +324,7 @@ def test_bias_flag_does_not_read_the_corpus_bias(tmp_path, breakage):
 
 def test_check_flags_corrupted_subsets(tmp_path, capsys):
     corpus = _gen(tmp_path, subsets=8, corruption=0.25, seed=2)
-    manifest = load_manifest(corpus)
+    manifest = json.loads((corpus / MANIFEST_FILE).read_text(encoding="utf-8"))
     code = main(["check", "--corpus-dir", str(corpus)])
     capsys.readouterr()
     assert code in (0, 1)

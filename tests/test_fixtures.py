@@ -38,13 +38,14 @@ def test_vocabulary_and_rules_parse_together():
 
 def test_scenarios_are_vocabulary_conformant():
     bias = parse_bias((DATA / "vocabulary.bias").read_text(encoding="utf-8"))
-    vocab = bias.vocabulary
+    heads, vocab = bias.head_predicates, bias.vocabulary
     scenarios = _scenarios()
     assert len(scenarios) == 20
     for s in scenarios:
         for atom in s.background.facts():
             assert vocab[atom.predicate] == atom.arity, (s.id, str(atom))
-        s.examples.check_predicates(bias)
+        for atom in (*s.examples.positives, *s.examples.negatives):
+            assert atom.predicate in heads and vocab[atom.predicate] == atom.arity, (s.id, str(atom))
         assert s.tags
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hornpipe import cover
+from hornpipe import cover, learner
 from hornpipe.cover import (
     CandidateList,
     CoverCache,
@@ -32,7 +32,7 @@ from hornpipe.learner import (
     solve,
     verify,
 )
-from hornpipe.logic import Atom, Clause, ExampleSet, Program, atom, canonical, const, print_clause, var
+from hornpipe.logic import Atom, Clause, ExampleSet, Program, atom, canonical, const, print_clause
 from hornpipe.parsing import parse_bias, parse_clause, parse_examples, parse_facts, print_bias
 
 from oracles import greedy_cover, naive_consequences, random_bias, random_instance, reference_clauses
@@ -225,7 +225,7 @@ def test_split_body_covers_across_components():
     b = parse_facts("cross_runway(a,r1).\nlanding_runway(b,r2).\n")
     clause = canonical(parse_clause("collision(X,Y):- cross_runway(X,R),landing_runway(Y,S)."))
     cands = CandidateList([clause])
-    assert len(cands.candidates[0].groups) == 2
+    assert len(cands.uses[0]) == 2
     tables = coverage_tables(cands, CoverCache().solved(b, cands))
     want = [atom("collision", "a", "b"), atom("collision", "b", "a")]
     wanted = WantedSet(want)
@@ -274,7 +274,8 @@ def test_shared_group_fires_once_per_solve(monkeypatch):
     # every group over p and r applies in every component, so firing per
     # component would fire three times as often
     assert all({pred for pred, _ in facts} == {"p", "r"} for facts in components)
-    slots = [g.rule for c in candidates for g in c.groups if g.preds <= {"p", "r"}]
+    carried = [candidates.groups[candidates.slotted[i][3]] for uses in candidates.uses for i in uses]
+    slots = [g.rule for g in carried if g.preds <= {"p", "r"}]
     distinct = {canonical(rule) for rule in slots}
     assert len(distinct) < len(slots)
     cache = CoverCache()
@@ -333,7 +334,7 @@ def test_cover_path_matches_exhaustive_oracle_across_components():
     """Cover tables against ``oracles.naive_consequences``, which shares no
     code with the join kernel that both cover and the fixpoint engine run."""
     candidates = candidate_list(SMALL_BIAS)
-    assert sum(len(c.groups) > 1 for c in candidates) > len(candidates) // 2
+    assert sum(len(uses) > 1 for uses in candidates.uses) > len(candidates) // 2
     rng = random.Random(20261018)
     cross = 0
     for _ in range(12):
@@ -365,10 +366,13 @@ def test_group_key_under_different_slots_scores_apart():
     their own verdicts, in either scoring order."""
     texts = ("h(X,Y):- p(X),q(X,Y).", "h(X,Y):- p(Y),q(X,Y).")
     clauses = [canonical(parse_clause(t)) for t in texts]
-    cands = CandidateList(clauses).candidates
-    p_groups = [g for c in cands for g in c.groups if g.preds == {"p"}]
-    assert p_groups[0].key == p_groups[1].key
-    assert p_groups[0].head_slots != p_groups[1].head_slots
+    listed = CandidateList(clauses)
+    cands = listed.candidates
+    carried = [listed.slotted[i] for uses in listed.uses for i in uses]
+    p_groups = [s for s in carried if listed.groups[s[3]].preds == {"p"}]
+    # (head predicate, head arity, head_slots, key)
+    assert p_groups[0][3] == p_groups[1][3]
+    assert p_groups[0][2] != p_groups[1][2]
     background = parse_facts("p(a).\nq(a,b).\n")
     hit = atom("h", "a", "b")
     want = {cands[0].text: {hit}, cands[1].text: set()}
@@ -430,11 +434,10 @@ def constants(background: Program) -> set[str]:
 def fresh_unions(background: Program, candidates) -> dict[str, frozenset]:
     """Group unions straight from the components of ``from_program``, each
     group fired on its own, with no cache and no derivation."""
-    groups = {g.key: g for cand in candidates for g in cand.groups}
     out: dict[str, set] = {}
     for facts in FactStore.from_program(background).components():
         store = FactStore(facts)
-        for key, group in groups.items():
+        for key, group in candidates.groups.items():
             heads: set = set()
             cover.fire(group.compiled, store, heads)
             if heads:
@@ -454,14 +457,14 @@ def assert_solved_is_fresh(form: cover.SolvedBackground, background: Program, ca
         for pred, arity in arities
         for args in itertools.product([*consts, "absent"], repeat=arity)
     ]
-    assert sum(map(store.has_atom, probes)) == len(store)
-    for a in probes:
-        assert form.has_atom(a) == store.has_atom(a), a
-    views = set(form.component_of.values())
-    assert {v.key for v in views} == {frozenset(c) for c in store.components()}
+    facts = {a for a in probes if store.has_atom(a)}
+    assert len(facts) == len(store)
+    wanted = WantedSet(probes)
+    assert atoms_of(wanted, form.facts_in(wanted)) == facts
+    assert set(form.component_of.values()) == {frozenset(c) for c in store.components()}
     assert set(form.component_of) == consts
-    for c, view in form.component_of.items():
-        assert any(c in args for _, args in view.key)
+    for c, component in form.component_of.items():
+        assert any(c in args for _, args in component)
     assert form.unions == fresh_unions(background, candidates)
 
 
@@ -555,13 +558,6 @@ def test_derived_solved_background_equals_a_fresh_one_after_subset_checks():
     assert reused > 5 and merges > 20
 
 
-def test_solved_has_atom_rejects_non_ground_atom():
-    form = CoverCache().solved(parse_facts("p(a,b).\n"), CandidateList([]))
-    for args in ((var("X"), const("b")), (const("a"), var("Y"))):
-        with pytest.raises(ValueError, match="ground"):
-            form.has_atom(Atom("p", args))
-
-
 # --------------------------------------------------------------------- solve
 
 
@@ -627,6 +623,24 @@ def test_solve_rejects_example_at_undeclared_arity():
         solve(plant_background(), ex, PLANT_BIAS)
 
 
+def test_solve_rejects_undeclared_predicate_on_first_positive_or_last_negative(monkeypatch):
+    """The predicate check reads every example, before the hypothesis space
+    is compiled: a body predicate on the first positive and an undeclared
+    one on the last negative are each a caller error."""
+
+    def no_compile(bias):
+        raise AssertionError("compiled the hypothesis space before checking the examples")
+
+    monkeypatch.setattr(learner, "candidate_list", no_compile)
+    pos, neg = plant_examples().positives, plant_examples().negatives
+    for ex, name in (
+        (ExampleSet.of([atom("cross_runway", "a1", "r1"), *pos], neg), "cross_runway/2"),
+        (ExampleSet.of(pos, [*neg, atom("holding", "c1")]), "holding/1"),
+    ):
+        with pytest.raises(ValueError, match=f"^example predicate {name} is not a declared head predicate$"):
+            solve(plant_background(), ex, PLANT_BIAS)
+
+
 def test_solve_ignores_the_clock(monkeypatch):
     """The outcome depends on the evidence alone: a clock that leaps 1000 s
     at every read changes nothing."""
@@ -660,16 +674,21 @@ def test_cover_cache_shared_across_biases():
 
 
 def test_solve_scores_each_slotted_group_once(monkeypatch):
-    """One solve computes at most one hit mask per side (negatives, missing
-    positives) and distinct slotted group with solutions, never one per
-    candidate that carries the group."""
-    computed = []
-    real_mask = cover.WantedSet.mask
+    """One solve numbers its examples once, in one wanted set, and computes
+    at most one hit mask per distinct slotted group with solutions: never
+    one per candidate that carries the group, nor one per side."""
+    built, computed = [], []
+    real_init, real_mask = cover.WantedSet.__init__, cover.WantedSet.mask
+
+    def counting_init(self, atoms):
+        built.append(self)
+        real_init(self, atoms)
 
     def counting_mask(self, slotted, union):
-        computed.append((id(self), slotted))
+        computed.append(slotted)
         return real_mask(self, slotted, union)
 
+    monkeypatch.setattr(cover.WantedSet, "__init__", counting_init)
     monkeypatch.setattr(cover.WantedSet, "mask", counting_mask)
     background = parse_facts("p(a,b).\np(b,c).\nq(b,a).\nq(c,c).\nr(a).\nr(c).\n")
     ex = parse_examples("pos(h(a,b)).\npos(h(b,c)).\nneg(h(b,a)).\nneg(h(a,c)).\n")
@@ -683,14 +702,13 @@ def test_solve_scores_each_slotted_group_once(monkeypatch):
     # many candidates share a slotted group with solutions, so scoring per
     # candidate would compute more masks than this test allows
     assert len([s for s in carried if s in with_solutions]) > len(with_solutions)
-    sides = {side for side, _ in computed}
-    assert len(sides) == 2
-    for side in sides:
-        scored = [s for owner, s in computed if owner == side]
-        assert len(scored) == len(set(scored))
-        assert set(scored) <= with_solutions
+    assert len(built) == 1
+    assert computed and len(computed) == len(set(computed))
+    assert set(computed) <= with_solutions
 
-    complete = [c for c in candidates if all(g.key in unions for g in c.groups)]
+    complete = [
+        c for c, uses in zip(candidates, candidates.uses) if all(candidates.slotted[i][3] in unions for i in uses)
+    ]
     safe = [c for c in complete if not coverage(background, Program.of([c.clause]), ex).covered_neg]
     # a candidate with a group that has no solutions derives nothing
     assert res.stats.candidates_negative_safe == len(safe) + len(candidates) - len(complete)

@@ -1,10 +1,13 @@
+import json
+
 import pytest
 
-from hornpipe.parsing import parse_examples, parse_facts, parse_rules, print_bias
+from hornpipe.logic import print_program
+from hornpipe.parsing import parse_examples, parse_facts, parse_rules, print_bias, print_examples
 from hornpipe.storage import (
+    MANIFEST_FILE,
     StoredSubset,
     load_corpus_bias,
-    load_manifest,
     load_scenario_dirs,
     load_subsets,
     parse_meta,
@@ -15,7 +18,6 @@ from hornpipe.storage import (
     write_corpus_bias,
     write_manifest,
     write_rules,
-    write_scenario,
     write_subset,
 )
 from test_parsing import VOCAB_BIAS
@@ -84,14 +86,15 @@ def test_corpus_loads_in_timestamp_then_id_order(tmp_path):
 def test_manifest_round_trip(tmp_path):
     manifest = {"schema": 1, "corrupted": {"s-2": "label_flip"}}
     write_manifest(tmp_path, manifest)
-    assert load_manifest(tmp_path) == manifest
+    assert json.loads((tmp_path / MANIFEST_FILE).read_text(encoding="utf-8")) == manifest
 
 
 def test_scenario_round_trip(tmp_path):
     background = parse_facts("cross_runway(p1,r1).\nlanding_runway(p2,r1).\n")
     examples = parse_examples("pos(collision(p1,p2)).\nneg(collision(p2,p1)).\n")
-    write_scenario(tmp_path, "scn-001", background, examples, tags=("generated", "x"))
-    write_scenario(tmp_path, "scn-000", background, examples)
+    facts_text, examples_text = print_program(background), print_examples(examples)
+    write_subset(tmp_path, StoredSubset("scn-001", facts_text, examples_text, {"tags": "generated,x"}))
+    write_subset(tmp_path, StoredSubset("scn-000", facts_text, examples_text, {}))
     loaded = load_scenario_dirs(tmp_path)
     assert [name for name, *_ in loaded] == ["scn-000", "scn-001"]
     name, bg, exs, tags = loaded[1]
