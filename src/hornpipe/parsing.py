@@ -3,6 +3,19 @@
 Files are UTF-8 text, one statement per line, each terminated by ``.``;
 ``%`` starts a comment that runs to the end of the line.  Whitespace is
 free between tokens.
+
+Ground data is read a line at a time.  ``parse_facts`` and
+``parse_examples`` first try one compiled match per line
+(``_FACT_LINE_RE``, ``_EXAMPLE_LINE_RE``): a ground atom written without
+inner whitespace, with optional spaces or tabs around the statement and an
+optional trailing comment.  The match proves everything the tokenizer and
+cursor would check, so its predicate and constants become the atom
+directly, each constant's ``Term`` built once per call.  Every other line,
+including blank, comment-only and malformed ones, goes through the
+tokenizer and cursor (``_tokens``, ``_Cursor``, ``_parse_atom``), which is
+also the only path of ``parse_rules``, ``parse_clause`` and ``parse_bias``.
+So every ``ParseError`` comes from that one path, with the line's number in
+the file.
 """
 
 from __future__ import annotations
@@ -30,6 +43,17 @@ _IDENT_RE = re.compile(_IDENT + r"\Z")
 # one token, or the one character at which no token starts
 _TOKEN_RE = re.compile(rf"\s*(?:({_IDENT}|[0-9]+|:-|[(),.])|(.))")
 
+_NAME = r"[a-z][A-Za-z0-9_]*"  # a predicate or a named constant
+_CONST = rf"(?:{_NAME}|[0-9]+)"
+# a ground atom written without whitespace; the groups are the predicate and
+# the comma-separated constants
+_GROUND_ATOM = rf"({_NAME})\(({_CONST}(?:,{_CONST})*)\)"
+_LINE_END = r"[ \t]*(?:%.*)?\Z"
+_FACT_LINE_RE = re.compile(rf"[ \t]*{_GROUND_ATOM}\.{_LINE_END}")
+_EXAMPLE_LINE_RE = re.compile(rf"[ \t]*(pos|neg)\({_GROUND_ATOM}\)\.{_LINE_END}")
+
+_NO_EXAMPLES = ExampleSet()
+
 
 class ParseError(ValueError):
     """Syntax or well-formedness error, with the 1-based source line."""
@@ -41,18 +65,25 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def _tokens(raw: str, lineno: int) -> tuple[str, ...] | None:
+    """The tokens of one source line, or None if it is blank or only a comment."""
+    line = raw.split("%", 1)[0].strip()
+    if not line:
+        return None
+    tokens, bad = zip(*_TOKEN_RE.findall(line))
+    if any(bad):
+        raise ParseError(f"unexpected character {''.join(bad)[0]!r}", lineno)
+    if tokens[-1] != ".":
+        raise ParseError("unterminated clause (missing '.')", lineno)
+    return tokens
+
+
 def _statements(text: str) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Yield (line number, tokens) per non-blank statement line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
-        tokens, bad = zip(*_TOKEN_RE.findall(line))
-        if any(bad):
-            raise ParseError(f"unexpected character {''.join(bad)[0]!r}", lineno)
-        if tokens[-1] != ".":
-            raise ParseError("unterminated clause (missing '.')", lineno)
-        yield lineno, tokens
+        tokens = _tokens(raw, lineno)
+        if tokens is not None:
+            yield lineno, tokens
 
 
 class _Cursor:
@@ -107,6 +138,30 @@ def _parse_atom(cur: _Cursor) -> Atom:
     return Atom(name, tuple(args))
 
 
+class _Consts(dict):
+    """Constant name -> its Term, built on first use; one per parse call."""
+
+    def __missing__(self, name: str) -> Term:
+        t = self[name] = Term("const", name)
+        return t
+
+
+def _ground_atom(predicate: str, names: str, consts: _Consts) -> Atom:
+    """The atom of a line the ground-atom match accepted, built unchecked."""
+    a = object.__new__(Atom)
+    object.__setattr__(a, "predicate", predicate)
+    object.__setattr__(a, "args", tuple(map(consts.__getitem__, names.split(","))))
+    return a
+
+
+def _fact(head: Atom) -> Clause:
+    """The fact clause of a ground atom, built unchecked."""
+    c = object.__new__(Clause)
+    object.__setattr__(c, "head", head)
+    object.__setattr__(c, "body", ())
+    return c
+
+
 def _parse_clause_tokens(cur: _Cursor) -> Clause:
     head = _parse_atom(cur)
     body: list[Atom] = []
@@ -144,15 +199,24 @@ def parse_rules(text: str) -> Program:
 
 def parse_facts(text: str) -> Program:
     """Parse a background file of ground facts."""
+    consts = _Consts()
     facts = []
-    for line, tokens in _statements(text):
-        cur = _Cursor(tokens, line)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = _FACT_LINE_RE.match(raw)
+        if m is not None:
+            facts.append(_fact(_ground_atom(m[1], m[2], consts)))
+            continue
+        tokens = _tokens(raw, lineno)
+        if tokens is None:
+            continue
+        cur = _Cursor(tokens, lineno)
         a = _parse_atom(cur)
         cur.end()
         if not a.is_ground():
-            raise ParseError(f"fact must be ground: {a}", line)
+            raise ParseError(f"fact must be ground: {a}", lineno)
         facts.append(Clause(a))
-    return Program.of(facts)
+    # a ground fact is its own canonical form, so this is Program.of(facts)
+    return Program(frozenset(facts))
 
 
 def parse_examples(text: str) -> ExampleSet:
@@ -162,24 +226,43 @@ def parse_examples(text: str) -> ExampleSet:
     example predicates are declared head predicates is for validation to
     check against the bias.
     """
-    pos: list[Atom] = []
-    neg: list[Atom] = []
-    for line, tokens in _statements(text):
-        cur = _Cursor(tokens, line)
+    consts = _Consts()
+    pos: dict[Atom, None] = {}
+    neg: dict[Atom, None] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = _EXAMPLE_LINE_RE.match(raw)
+        if m is not None:
+            (pos if m[1] == "pos" else neg)[_ground_atom(m[2], m[3], consts)] = None
+            continue
+        tokens = _tokens(raw, lineno)
+        if tokens is None:
+            continue
+        cur = _Cursor(tokens, lineno)
         label = cur.take()
         if label not in ("pos", "neg"):
-            raise ParseError(f"expected pos(...) or neg(...), found {label!r}", line)
+            raise ParseError(f"expected pos(...) or neg(...), found {label!r}", lineno)
         cur.take("(")
         inner = _parse_atom(cur)
         cur.take(")")
         cur.end()
         if not inner.is_ground():
-            raise ParseError(f"example must be ground: {inner}", line)
-        (pos if label == "pos" else neg).append(inner)
+            raise ParseError(f"example must be ground: {inner}", lineno)
+        (pos if label == "pos" else neg)[inner] = None
     try:
-        return ExampleSet.of(pos, neg)
+        return labelled_examples(tuple(pos), tuple(neg))
     except ValueError as e:
         raise ParseError(str(e)) from None
+
+
+def labelled_examples(positives: tuple[Atom, ...], negatives: tuple[Atom, ...]) -> ExampleSet:
+    """The ExampleSet of ground atoms that are distinct within each side.
+
+    Only the two sides are checked against each other; an atom on both
+    raises ``ExampleSet``'s own ValueError.
+    """
+    if not set(positives).isdisjoint(negatives):
+        return ExampleSet(positives, negatives)
+    return _NO_EXAMPLES.extended(positives, negatives)
 
 
 _BOUND_DIRECTIVES = ("max_vars", "max_body", "max_clauses")

@@ -53,7 +53,7 @@ from .cover import CoverCache
 from .entailment import rule_supports
 from .ingestion import BundleSource, RawBundle
 from .logic import Atom, BiasSpec, ExampleSet, Program, print_clause
-from .parsing import ParseError, parse_examples, parse_facts
+from .parsing import ParseError, labelled_examples, parse_examples, parse_facts
 
 DEFAULT_SUPPORT_THRESHOLD = 0.20
 DEFAULT_RETRY_FAIL_THRESHOLD = 0.30
@@ -150,7 +150,8 @@ def _check_bundle(bundle: RawBundle, bias: BiasSpec) -> tuple[SubsetInstance | N
     if pos_part is None or neg_part is None:
         return None, reasons
     try:
-        examples = ExampleSet(pos_part.positives, neg_part.negatives)
+        # the parser has made each side ground and duplicate-free
+        examples = labelled_examples(pos_part.positives, neg_part.negatives)
     except ValueError as e:
         return None, [*reasons, str(e)]
     if not examples.positives:
@@ -164,13 +165,20 @@ def validate_bundle(source: BundleSource, bias: BiasSpec, attempts: int) -> Vali
     """Check a bundle, re-fetching up to `attempts` times on failure.
 
     Rejection is a normal outcome carrying the per-attempt reasons; I/O
-    failures from the fetch hook propagate as exceptions.
+    failures from the fetch hook propagate as exceptions.  Every attempt
+    fetches, but a bundle equal to the previous attempt's is not checked
+    again: it fails for the same reasons, which are logged under the new
+    attempt number.
     """
     if attempts < 1:
         raise ValueError("attempts must be >= 1")
     collected: list[str] = []
+    previous = None
     for attempt in range(1, attempts + 1):
-        subset, reasons = _check_bundle(source.fetch(attempt), bias)
+        bundle = source.fetch(attempt)
+        if bundle != previous:
+            subset, reasons = _check_bundle(bundle, bias)
+            previous = bundle
         if subset is not None:
             return ValidationOutcome(
                 bundle_id=source.id,

@@ -5,16 +5,22 @@ enumerates every ground substitution over the observed constants and
 iterates to fixpoint, the greedy-cover oracle scores one candidate at a
 time against every example the same way, the hypothesis-space oracle
 canonicalises every raw body and dedupes by text, and the instance
-generator uses only the public clause types.
+generator uses only the public clause types.  The cursor parser at the end
+is a verbatim copy of the tokenizer-and-cursor ``parse_facts`` and
+``parse_examples`` that read every line before the one-match reader of
+ground lines existed; it is the reference the parser differential compares
+against.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations_with_replacement, product
 from typing import Iterator
 
-from hornpipe.logic import Atom, BiasSpec, Clause, ExampleSet, PredDecl, Program, Term, canonical, const, var
+from hornpipe.logic import PRED_RE, Atom, BiasSpec, Clause, ExampleSet, PredDecl, Program, Term, canonical, const, term, var
+from hornpipe.parsing import ParseError
 
 
 def naive_consequences(background: Program, hypothesis: Program) -> set[Atom]:
@@ -283,3 +289,117 @@ def linked_groups(keys: list[list]) -> list[list[int]]:
                     linked.add(j)
                     changed = True
     return [sorted(linked) for i, linked in enumerate(reach) if min(linked) == i]
+
+
+# -- the cursor parser of ground data --------------------------------------
+
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+# one token, or the one character at which no token starts
+_TOKEN_RE = re.compile(rf"\s*(?:({_IDENT}|[0-9]+|:-|[(),.])|(.))")
+
+
+def _statements(text: str) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Yield (line number, tokens) per non-blank statement line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("%", 1)[0].strip()
+        if not line:
+            continue
+        tokens, bad = zip(*_TOKEN_RE.findall(line))
+        if any(bad):
+            raise ParseError(f"unexpected character {''.join(bad)[0]!r}", lineno)
+        if tokens[-1] != ".":
+            raise ParseError("unterminated clause (missing '.')", lineno)
+        yield lineno, tokens
+
+
+class _Cursor:
+    def __init__(self, tokens: tuple[str, ...], line: int):
+        self.tokens = tokens
+        self.line = line
+        self.i = 0
+
+    def peek(self) -> str | None:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self, expected: str | None = None) -> str:
+        if self.i >= len(self.tokens):
+            raise ParseError("unexpected end of statement", self.line)
+        tok = self.tokens[self.i]
+        if expected is not None and tok != expected:
+            raise ParseError(f"expected {expected!r}, found {tok!r}", self.line)
+        self.i += 1
+        return tok
+
+    def name(self, pattern: re.Pattern, what: str) -> str:
+        """Take a token that must match ``pattern``."""
+        tok = self.take()
+        if not pattern.match(tok):
+            raise ParseError(f"expected {what}, found {tok!r}", self.line)
+        return tok
+
+    def end(self) -> None:
+        """Take the closing '.', which must be the statement's last token."""
+        self.take(".")
+        if self.i != len(self.tokens):
+            raise ParseError(
+                f"trailing tokens after '.': {' '.join(self.tokens[self.i:])}",
+                self.line,
+            )
+
+
+def _parse_atom(cur: _Cursor) -> Atom:
+    name = cur.name(PRED_RE, "a predicate name")
+    cur.take("(")
+    args: list[Term] = []
+    while True:
+        tok = cur.take()
+        if tok in "(),.:-":
+            raise ParseError(f"expected a term, found {tok!r}", cur.line)
+        args.append(term(tok))
+        nxt = cur.take()
+        if nxt == ")":
+            break
+        if nxt != ",":
+            raise ParseError(f"expected ',' or ')', found {nxt!r}", cur.line)
+    return Atom(name, tuple(args))
+
+
+def cursor_parse_facts(text: str) -> Program:
+    """Parse a background file of ground facts."""
+    facts = []
+    for line, tokens in _statements(text):
+        cur = _Cursor(tokens, line)
+        a = _parse_atom(cur)
+        cur.end()
+        if not a.is_ground():
+            raise ParseError(f"fact must be ground: {a}", line)
+        facts.append(Clause(a))
+    return Program.of(facts)
+
+
+def cursor_parse_examples(text: str) -> ExampleSet:
+    """Parse ``pos(atom).`` / ``neg(atom).`` lines.
+
+    Duplicates collapse; an atom on both sides is an error.  Whether the
+    example predicates are declared head predicates is for validation to
+    check against the bias.
+    """
+    pos: list[Atom] = []
+    neg: list[Atom] = []
+    for line, tokens in _statements(text):
+        cur = _Cursor(tokens, line)
+        label = cur.take()
+        if label not in ("pos", "neg"):
+            raise ParseError(f"expected pos(...) or neg(...), found {label!r}", line)
+        cur.take("(")
+        inner = _parse_atom(cur)
+        cur.take(")")
+        cur.end()
+        if not inner.is_ground():
+            raise ParseError(f"example must be ground: {inner}", line)
+        (pos if label == "pos" else neg).append(inner)
+    try:
+        return ExampleSet.of(pos, neg)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
+

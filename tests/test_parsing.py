@@ -1,8 +1,12 @@
-"""Parser tests: formats, errors with line numbers, and mutation fuzzing."""
+"""Parser tests: formats, errors with line numbers, mutation fuzzing, and a
+seeded differential between the ground-data reader and the cursor parser."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from oracles import cursor_parse_examples, cursor_parse_facts
 
 from hornpipe.logic import atom
 from hornpipe.parsing import (
@@ -223,3 +227,95 @@ def test_fuzz_mutated_valid_lines_rejected():
         parse_facts("landing_runway(A1,r31l).")
     with pytest.raises(ParseError):
         parse_examples("pos(collision(A1,a2)).")
+
+
+def test_ground_reader_errors_carry_the_file_line_number():
+    """A malformed line after matched, blank and comment-only lines is
+    reported with its line number in the file, not within its statement."""
+    lead = "  % header\n\n{0}\n\t\n% between\n{1} % trailing\n\n"
+    cases = [
+        (parse_facts, lead.format("p(a,b).", "q(1,c_2)."), "p(a#,b).", "unexpected character '#'"),
+        (parse_facts, lead.format("p(a,b).", "q(1,c_2)."), "p(a,X).", "fact must be ground: p(a,X)"),
+        (parse_facts, lead.format("p(a,b).", "q(1,c_2)."), "p(a,b)", "unterminated clause (missing '.')"),
+        (parse_examples, lead.format("pos(g(a,b)).", "neg(g(b,a))."), "pos(g(a,,b)).", "expected a term, found ','"),
+        (parse_examples, lead.format("pos(g(a,b)).", "neg(g(b,a))."), "neg(g(B,a)).", "example must be ground: g(B,a)"),
+        (parse_examples, lead.format("pos(g(a,b)).", "neg(g(b,a))."), "maybe(g(a,b)).", "expected pos(...) or neg(...), found 'maybe'"),
+    ]
+    for parse, head, bad, message in cases:
+        text = head + bad + "\np(c,d).\n"
+        line = head.count("\n") + 1
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
+
+FACTS_TEXT = (
+    "landing_runway(a1,r31l).\n"
+    "cross_runway(a_2,r31l). % crossing\n"
+    "\n"
+    "  holding_short_runway(a3,r09).\n"
+    "parallel_runways(r31l,r09).\n"
+    "same_runway(12,007).\n"
+)
+EXAMPLES_TEXT = (
+    "pos(collision(a1,a_2)).\n"
+    "% labels\n"
+    "neg(collision(a_2,a1)).\n"
+    "\tpos(collision(a3,12)). % late\n"
+    "neg(collision(a1,a1)).\n"
+)
+# whitespace (Unicode spaces and line breaks too), comments, digits, upper
+# case, underscores and punctuation
+MUTANT_CHARS = " \t\u00a0\u2003\u3000\x0b\u2028%0179AZQXB__(),.:-#!ab"
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(5)
+        if op == 0:
+            text = text[:i] + rng.choice(MUTANT_CHARS) + text[i:]
+        elif op == 1:
+            text = text[:i] + rng.choice(MUTANT_CHARS) + text[i + 1 :]
+        elif op == 2:
+            text = text[:i] + text[i + 1 :]
+        elif op == 3:  # empty an argument slot or a predicate name
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            text = text[:i] + text[j:]
+        else:  # a blank or space-only line
+            i = text.rfind("\n", 0, i) + 1
+            text = text[:i] + rng.choice(("", " ", "\t")) + "\n" + text[i:]
+    return text
+
+
+def _outcome(parse, text: str):
+    try:
+        return "parsed", parse(text)
+    except Exception as e:  # the same error type, text and line, or a failure
+        return type(e).__name__, str(e), getattr(e, "line", None)
+
+
+def test_ground_reader_matches_the_cursor_parser_on_mutated_texts():
+    """Seeded, bounded differential: the one-match reader of ground lines and
+    the cursor parser it replaced give the same Program or ExampleSet, or
+    the same error text and line, on thousands of mutated texts."""
+    rng = random.Random(2024)
+    parsed = failed = 0
+    for parse, reference, valid in (
+        (parse_facts, cursor_parse_facts, FACTS_TEXT),
+        (parse_examples, cursor_parse_examples, EXAMPLES_TEXT),
+    ):
+        assert _outcome(parse, valid) == _outcome(reference, valid)
+        for _ in range(2000):
+            text = _mutate(valid, rng)
+            got, want = _outcome(parse, text), _outcome(reference, text)
+            assert got == want, text
+            if want[0] == "parsed":
+                parsed += 1
+            else:
+                failed += 1
+    # both outcomes are well represented, so neither side is tested vacuously
+    assert parsed > 800 and failed > 800, (parsed, failed)

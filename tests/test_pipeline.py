@@ -129,6 +129,38 @@ def test_fetch_errors_propagate():
         validate_bundle(src, TEST_BIAS, attempts=2)
 
 
+def test_unchanged_refetch_is_not_parsed_again(monkeypatch):
+    parsed = []
+
+    def counting_parse_facts(text):
+        parsed.append(text)
+        return parse_facts(text)
+
+    monkeypatch.setattr(pipeline, "parse_facts", counting_parse_facts)
+    fetched = []
+    bad = _bundle(vex="")  # no positive example
+    retry = _bundle(vex="", vfacts="p(a,b).\nq(b,c).\n")
+
+    def fetch(attempt: int) -> RawBundle:
+        fetched.append(attempt)
+        return {1: bad, 2: bad, 3: retry}.get(attempt, retry)
+
+    src = BundleSource(id="b-1", timestamp="2024-01-01", fetch=fetch)
+    out = validate_bundle(src, TEST_BIAS, attempts=4)
+    assert fetched == [1, 2, 3, 4]
+    assert len(parsed) == 4  # two facts texts per distinct bundle: attempts 1 and 3
+    assert out.reasons == tuple(f"attempt {n}: no positive example" for n in (1, 2, 3, 4))
+
+    # a fetch that fails after an unchanged one still propagates
+    def flaky(attempt: int) -> RawBundle:
+        if attempt == 3:
+            raise OSError("extractor unavailable")
+        return bad
+
+    with pytest.raises(OSError):
+        validate_bundle(BundleSource(id="b-1", timestamp="2024-01-01", fetch=flaky), TEST_BIAS, attempts=3)
+
+
 def test_role_separation_is_enforced():
     out = validate_bundle(
         _source({1: _bundle(vex="pos(goal(a,b)).\nneg(goal(b,a)).\n")}),
