@@ -35,24 +35,25 @@ nothing: an aggregation step that adds a subset whose constants are new to
 the state reads the table that subset's own check made, when both stages
 share the cache.
 
-The cache also keeps the solved form of the last two backgrounds it saw: the
-component of each constant and each group's union of solutions.  Each
+One Session holds an aggregation trial's committed state over a shared
+cache: the committed examples and their labels, the solved form of the
+committed background and of the last one solved, and the least model of the
+last self-check that found its hypothesis consistent.  A solved form is the
+component of each constant and each group's union of solutions; each
 background fact is held once, in its component, and fact membership is read
-from there.  Along an aggregation trial the background only grows, so a solve
-derives its form from the largest kept background it extends: only the new
-facts are converted, they merge the components they share a constant with,
-the groups fire once over the new facts and the base components they touch,
-and only the unions this changes are rebuilt.  The result equals a
+from there.  Along a trial the background only grows, so a solve derives
+its form from the committed one when its background extends it: only the
+new facts are converted, they merge the components they share a constant
+with, the groups fire once over the new facts and the base components they
+touch, and only the unions this changes are rebuilt.  The result equals a
 from-scratch solve, which is property-tested.
 
-The cache also keeps the least model of the last self-check that found its
-hypothesis consistent (``CoverCache.check``).  When the next check has an
-equal hypothesis over a superset of that background, as along a trial
-whenever the hypothesis holds, the model is carried forward: only the new
-facts are inserted, semi-naive rounds run from them, the inserted facts are
-tested against the old negatives and the new examples against the model.
-A new trial, a subset check or a changed hypothesis rebuilds it from the
-background program.
+When a self-check has the hypothesis of the session's last consistent one
+over a superset of that background, as along a trial whenever the
+hypothesis holds, the model is carried forward: only the new facts are
+inserted, semi-naive rounds run from them, the inserted facts are tested
+against the old negatives and the new examples against the model.  A new
+session or a changed hypothesis rebuilds it from the background program.
 """
 
 from __future__ import annotations
@@ -155,16 +156,114 @@ class _Verified(NamedTuple):
 
 
 class CoverCache:
-    """Group solutions per added fact set, the last two solved backgrounds
-    and the last consistent self-check's model, shared across solver calls."""
-
-    KEPT = 2
+    """Group solutions per added fact set, shared across solver calls."""
 
     def __init__(self) -> None:
         self.tables: dict[frozenset[Fact], dict[str, frozenset]] = {}
-        self.groups: dict[str, Group] = {}  # every group a solved form has unions for
-        self._kept: list[SolvedBackground] = []  # most recently used first
+
+    def table(self, view: _Added, groups: Iterable[Group]) -> dict[str, frozenset]:
+        """The added facts' solutions by group key, firing each group they
+        lack once over all of them."""
+        table = self.tables.setdefault(view.key, {})
+        store = view.store
+        preds = store.by_pred.keys()
+        for group in groups:
+            if group.key in table or not group.preds <= preds:
+                continue
+            heads: set[Fact] = set()
+            fire(group.compiled, store, heads)
+            table[group.key] = frozenset(args for _, args in heads)
+        return table
+
+
+class Session:
+    """One aggregation trial's committed state over a shared cache.
+
+    ``examples`` are the committed examples, which keep the order they were
+    first seen in, and ``labels`` maps each to True for a positive and False
+    for a negative.  The committed solved form is the last solve's form at
+    the last commit.  A session serves one candidate list: given another,
+    it drops its solved forms, whose unions cover the old list's groups only.
+    """
+
+    def __init__(self, cache: CoverCache | None = None) -> None:
+        self.cache = cache if cache is not None else CoverCache()
+        self.examples = ExampleSet()
+        self.labels: dict[Atom, bool] = {}
+        self._candidates: CandidateList | None = None
+        self._committed = self._last = _EMPTY
         self._verified: _Verified | None = None
+
+    def join(self, pos: Iterable[Atom], neg: Iterable[Atom]) -> ExampleSet | None:
+        """The committed examples plus these, as ``ExampleSet.of`` orders
+        them, or None when an atom would carry both labels.  A duplicate is
+        absorbed.  Only the joining atoms are looked up, so a join costs in
+        proportion to them, not to the state.  The session is unchanged."""
+        new: dict[Atom, bool] = {}
+        for label, atoms in ((True, pos), (False, neg)):
+            for a in atoms:
+                have = self.labels.get(a)
+                if have is None:
+                    have = new.setdefault(a, label)
+                if have != label:
+                    return None
+        return self.examples.extended(
+            tuple(a for a, label in new.items() if label), tuple(a for a, label in new.items() if not label)
+        )
+
+    def commit(self, examples: ExampleSet) -> None:
+        """Take ``examples``, a join of this session, as the committed
+        examples, and the last solve's form as the committed form."""
+        labels = self.labels
+        for a in examples.positives[len(self.examples.positives) :]:
+            labels[a] = True
+        for a in examples.negatives[len(self.examples.negatives) :]:
+            labels[a] = False
+        self.examples = examples
+        self._committed = self._last
+
+    def solved(self, background: Program, candidates: CandidateList) -> SolvedBackground:
+        """The background's solved form, with unions for every candidate group.
+
+        A background equal to the last one solved gets that form back, as
+        peeling re-solves one background.  Any other is derived from the
+        committed form when it extends that form's background, and from the
+        empty form otherwise.
+        """
+        if candidates is not self._candidates:
+            self._candidates = candidates
+            self._committed = self._last = _EMPTY
+        clauses = background.clauses
+        if clauses != self._last.clauses:
+            base = self._committed if self._committed.clauses <= clauses else _EMPTY
+            self._last = self._extend(base, clauses)
+        return self._last
+
+    def _extend(self, base: SolvedBackground, clauses: frozenset[Clause]) -> SolvedBackground:
+        """The solved form of ``clauses``, a superset of the base's background;
+        the base itself when they are equal."""
+        if clauses == base.clauses:
+            return base
+        new = list(background_facts(clauses - base.clauses))
+        # a new fact joins every base component it shares a constant with
+        touched = {base.component_of[c] for _, args in new for c in args if c in base.component_of}
+        added = _Added([*new, *(f for facts in touched for f in facts)])
+        component_of = dict(base.component_of)
+        for facts in added.store.components():
+            component = frozenset(facts)
+            for _, args in facts:
+                for c in args:
+                    component_of[c] = component
+        # every match of a group lies inside one component, so one firing over
+        # the added facts unions the group's solutions in their components;
+        # a merged component keeps every fact of the base components it
+        # absorbed, so it still derives their solutions: adding these to the
+        # base unions gives exactly the from-scratch unions
+        unions = dict(base.unions)
+        for key, sols in self.cache.table(added, self._candidates.groups.values()).items():
+            if sols:
+                unions[key] = unions.get(key, frozenset()) | sols
+        return SolvedBackground(clauses, component_of, unions)
 
     def check(
         self, background: Program, hypothesis: Program, examples: ExampleSet
@@ -172,14 +271,14 @@ class CoverCache:
         """The positives that ``background ∪ hypothesis`` does not entail, and
         the negatives it does.
 
-        When the hypothesis equals that of the last check that found neither
-        and the background is a superset of that check's, its model is
-        carried forward: the new facts go in and semi-naive rounds run from
-        them (``entailment.saturate``).  A model only grows, so the positives
-        checked then stay entailed, and a negative checked then can enter it
-        only as a fact inserted now.  So when the examples extend the ones
-        checked then, only the inserted facts are tested against the old
-        negatives and only the new examples against the model.  Any other
+        When the hypothesis equals that of the session's last check that
+        found neither and the background is a superset of that check's, its
+        model is carried forward: the new facts go in and semi-naive rounds
+        run from them (``entailment.saturate``).  A model only grows, so the
+        positives checked then stay entailed, and a negative checked then can
+        enter it only as a fact inserted now.  So when the examples extend
+        the ones checked then, only the inserted facts are tested against the
+        old negatives and only the new examples against the model.  Any other
         call builds the model from scratch.  The model is never handed out.
         """
         kept, self._verified = self._verified, None
@@ -214,67 +313,6 @@ class CoverCache:
         if not missed and not bad:
             self._verified = _Verified(clauses, hypothesis.clauses, model, examples, negative_facts)
         return missed, bad
-
-    def table(self, view: _Added, groups: Iterable[Group]) -> dict[str, frozenset]:
-        """The added facts' solutions by group key, firing each group they
-        lack once over all of them."""
-        table = self.tables.setdefault(view.key, {})
-        store = view.store
-        preds = store.by_pred.keys()
-        for group in groups:
-            if group.key in table or not group.preds <= preds:
-                continue
-            heads: set[Fact] = set()
-            fire(group.compiled, store, heads)
-            table[group.key] = frozenset(args for _, args in heads)
-        return table
-
-    def solved(self, background: Program, candidates: CandidateList) -> SolvedBackground:
-        """The background's solved form, with unions for every candidate group.
-
-        The form is derived from the largest kept form whose background is a
-        subset of this one, or from the empty form when none is.  A kept form
-        of an equal background is that largest one, and is returned as is.
-        """
-        if not candidates.groups.keys() <= self.groups.keys():
-            # kept forms have no unions for the new groups
-            for key, group in candidates.groups.items():
-                self.groups.setdefault(key, group)
-            self._kept.clear()
-        clauses = background.clauses
-        bases = (f for f in (*self._kept, _EMPTY) if f.clauses <= clauses)
-        base = max(bases, key=lambda f: len(f.clauses))
-        form = self._extend(base, clauses)
-        # a base counts as used, so a trial that discards a subset still
-        # derives its next step from the state it kept
-        self._kept = [f for f in dict.fromkeys([form, base, *self._kept]) if f is not _EMPTY][: self.KEPT]
-        return form
-
-    def _extend(self, base: SolvedBackground, clauses: frozenset[Clause]) -> SolvedBackground:
-        """The solved form of ``clauses``, a superset of the base's background;
-        the base itself when they are equal."""
-        if clauses == base.clauses:
-            return base
-        new = list(background_facts(clauses - base.clauses))
-        # a new fact joins every base component it shares a constant with
-        touched = {base.component_of[c] for _, args in new for c in args if c in base.component_of}
-        added = _Added([*new, *(f for facts in touched for f in facts)])
-        component_of = dict(base.component_of)
-        for facts in added.store.components():
-            component = frozenset(facts)
-            for _, args in facts:
-                for c in args:
-                    component_of[c] = component
-        # every match of a group lies inside one component, so one firing over
-        # the added facts unions the group's solutions in their components;
-        # a merged component keeps every fact of the base components it
-        # absorbed, so it still derives their solutions: adding these to the
-        # base unions gives exactly the from-scratch unions
-        unions = dict(base.unions)
-        for key, sols in self.table(added, self.groups.values()).items():
-            if sols:
-                unions[key] = unions.get(key, frozenset()) | sols
-        return SolvedBackground(clauses, component_of, unions)
 
 
 Slotted = tuple[str, int, tuple[int, ...], str]  # head predicate, head arity, head_slots, key
@@ -372,7 +410,7 @@ class CoverTables:
 
 def coverage_tables(candidates: CandidateList, solved: SolvedBackground) -> CoverTables:
     """The slotted groups' unions, read from the background's solved form for
-    these candidates (``CoverCache.solved``)."""
+    these candidates (``Session.solved``)."""
     unions = solved.unions
     none: frozenset = frozenset()
     return CoverTables(candidates, tuple(unions.get(key, none) for *_, key in candidates.slotted))

@@ -18,7 +18,7 @@ none.
 path: ``consequences`` calls it for every round, and ``cover`` calls it to
 solve candidate body groups per component.  ``saturate`` is the only
 semi-naive loop: ``consequences`` runs it from its naive first round, and
-``cover.CoverCache`` runs it from the facts a grown background adds to the
+``cover.Session`` runs it from the facts a grown background adds to the
 model it keeps for the solver's self-check.
 
 Everything downstream (example coverage, rule support, evaluation) is
@@ -326,7 +326,7 @@ def saturate(store: FactStore, rules: list[CompiledRule], facts: Iterable[Fact])
     except for derivations that use one of the new facts: the first round
     fires each rule from every body literal whose predicate the new facts
     carry.  ``consequences`` passes the heads of its naive first round, and
-    ``CoverCache`` passes the facts a grown background adds to a model it
+    ``cover.Session`` passes the facts a grown background adds to a model it
     keeps.
     """
     inserted: list[Fact] = []

@@ -185,17 +185,17 @@ def verify(
     background: Program,
     hypothesis: Program,
     examples: ExampleSet,
-    cache: cover.CoverCache | None = None,
+    session: cover.Session | None = None,
 ) -> Verification:
     """Check a hypothesis against examples with the fixpoint engine.
 
-    ``cache`` carries its last consistent check's model forward when the
+    ``session`` carries its last consistent check's model forward when the
     hypothesis is unchanged and the background has only grown
-    (``CoverCache.check``); otherwise the model is built from scratch.
+    (``Session.check``); a fresh session builds the model from scratch.
     """
-    if cache is None:
-        cache = cover.CoverCache()
-    unreached, reached = cache.check(background, hypothesis, examples)
+    if session is None:
+        session = cover.Session()
+    unreached, reached = session.check(background, hypothesis, examples)
     missed = tuple(sorted(unreached, key=str))
     bad = tuple(sorted(reached, key=str))
     if bad:
@@ -211,14 +211,16 @@ def solve(
     background: Program,
     examples: ExampleSet,
     bias: BiasSpec,
-    cache: cover.CoverCache | None = None,
+    session: cover.Session | None = None,
 ) -> SolverResult:
     """Learn a smallest-first greedy hypothesis that fits the examples exactly.
 
     Success means every positive is derivable from background plus hypothesis
-    and no negative is.  An externally supplied cache makes repeated calls
-    over a growing background cheap: each call derives the background's
-    components and group unions from the last one it extends.
+    and no negative is.  A trial's session makes repeated calls over a
+    growing background cheap: each call derives the background's components
+    and group unions from the session's committed form, and the self-check
+    carries the session's last model forward.  A fresh session serves a
+    solve that passes none.
     """
     # positives take the low bits, negatives the rest
     wanted = cover.WantedSet((*examples.positives, *examples.negatives))
@@ -232,9 +234,9 @@ def solve(
     def done(outcome: str, hyp: Program | None, safe: int = 0) -> SolverResult:
         return SolverResult(outcome, hyp, replace(stats, candidates_negative_safe=safe))
 
-    if cache is None:
-        cache = cover.CoverCache()
-    solved = cache.solved(background, candidates)
+    if session is None:
+        session = cover.Session()
+    solved = session.solved(background, candidates)
     positives = (1 << len(examples.positives)) - 1
     negatives = (1 << len(wanted)) - 1 - positives
     facts = solved.facts_in(wanted)
@@ -269,7 +271,7 @@ def solve(
 
     # enumerate_clauses yields canonical clauses, so no canonicalising here
     hypothesis = Program(frozenset(chosen))
-    check = verify(background, hypothesis, examples, cache)
+    check = verify(background, hypothesis, examples, session)
     if check.status != "consistent":
         raise RuntimeError(
             f"solver self-check failed ({check.status}) for hypothesis:\n{hypothesis}"

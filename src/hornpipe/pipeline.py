@@ -7,19 +7,22 @@ hypothesis, or it is set aside as unreliable.  Every stage, and held-out
 evaluation, runs in-process; ``PipelineConfig.jobs`` is still accepted and
 written to the report's config record, but nothing reads it.
 Stage 3 (aggregation): grow a global training set by re-solving as each
-subset joins.  Each solve equals a from-scratch one, while the background's
-components (which also answer fact membership) and group unions carry over
-from the last solved background it extends (``cover.CoverCache``).
-``run_pipeline`` passes one cache through stages 2 and 3, so a subset whose
-constants are new to the state adds exactly the facts its own check tabled,
-and joining it fires no group again.  Each trial keeps one ordered label map
-(``LabelMap``): a joining subset's examples, or those left after peeling,
-are checked against it alone, and it grows when a step is accepted.  A
-subset that breaks solvability has its own examples peeled off one at a
-time (negatives first) before being dropped entirely.  A subset taken
-whole and one cut back advance the state on the same path; only the logged
-action and removed examples differ.  If the chronological pass drops too
-many subsets, seeded shuffled passes retry, keeping the best trial.
+subset joins.  Each trial runs in one ``cover.Session``, which holds the
+trial's committed examples and labels, the solved form of its committed
+background and its last consistent self-check's model, and which the trial
+commits when a step is accepted.  Each solve equals a from-scratch one,
+while the background's components (which also answer fact membership) and
+group unions carry over from the committed form.  A joining subset's
+examples, or those left after peeling, are checked against the committed
+labels alone.  ``run_pipeline`` passes one ``cover.CoverCache`` through
+stages 2 and 3, so a subset whose constants are new to the state adds
+exactly the facts its own check tabled, and joining it fires no group
+again.  A subset that breaks solvability has its own examples peeled off
+one at a time (negatives first) before being dropped entirely.  A subset
+taken whole and one cut back advance the state on the same path; only the
+logged action and removed examples differ.  If the chronological pass
+drops too many subsets, seeded shuffled passes retry, keeping the best
+trial.
 Stage 4 (pruning): drop accepted rules whose standalone support on the
 aggregated positives falls below a fraction of the maximum support.
 
@@ -27,15 +30,13 @@ Every accepted aggregation state is verified exactly once: the solver's
 self-check confirms, with the fixpoint engine, that the hypothesis entails
 all aggregated positives and no aggregated negatives before the solve
 returns it.  Along a trial the check carries the least model forward in the
-shared cache: while the hypothesis stays the same, a step inserts only the
-joining subset's facts, runs semi-naive rounds from them, tests the facts
-it inserted against the earlier negatives and tests the subset's examples
-against the model.  The first step of a trial, every subset check and a
-step whose hypothesis changed rebuild the model from the background.
-Pruning is then re-checked to keep the hypothesis negative-safe, through
-the same cache: when pruning removed nothing and the best trial ran last,
-that check reuses the model its last step verified.  Both checks raise
-rather than degrade.
+trial's session: while the hypothesis stays the same, a step inserts only
+the joining subset's facts, runs semi-naive rounds from them, tests the
+facts it inserted against the earlier negatives and tests the subset's
+examples against the model.  The first step of a trial, every subset check
+and a step whose hypothesis changed rebuild the model from the background.
+The pruned hypothesis is then checked once more, from scratch, to keep it
+negative-safe.  Both checks raise rather than degrade.
 
 Solves have no deadline, so every accept, cut-back and drop is a function
 of the bundles, the bias and the config alone, and a rerun on any machine
@@ -49,7 +50,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 from . import learner
-from .cover import CoverCache
+from .cover import CoverCache, Session
 from .entailment import rule_supports
 from .ingestion import BundleSource, RawBundle
 from .logic import Atom, BiasSpec, ExampleSet, Program, print_clause
@@ -217,12 +218,13 @@ def check_subsets(
 ) -> tuple[list[SubsetInstance], list[SubsetCheck]]:
     """Keep the subsets that admit an exact-fit hypothesis on their own.
 
-    Order is preserved.  The solves share ``cache`` when one is passed, so
-    aggregation can reuse their tables; without one, each solve gets a
-    fresh cache.  ``config`` is not read (its ``jobs`` no longer starts a
-    pool); the parameter stays for existing callers.
+    Order is preserved.  Each solve runs in a session of its own; the
+    sessions share ``cache`` when one is passed, so aggregation can reuse
+    their tables, and each has a fresh cache otherwise.  ``config`` is not
+    read (its ``jobs`` no longer starts a pool); the parameter stays for
+    existing callers.
     """
-    results = [learner.solve(s.background, s.examples, bias, cache) for s in subsets]
+    results = [learner.solve(s.background, s.examples, bias, Session(cache)) for s in subsets]
     reliable: list[SubsetInstance] = []
     checks: list[SubsetCheck] = []
     for subset, res in zip(subsets, results):
@@ -283,68 +285,23 @@ class AggregationOutcome:
     early_stopped: bool
 
 
-class LabelMap:
-    """One trial's example labels: True for a positive, False for a negative.
-
-    It labels exactly ``examples``, the trial state's examples, which keep
-    the order they were first seen in.  A joining
-    subset's examples, or what is left of them after peeling, are checked
-    against it one by one, so a step costs in proportion to the subset, not
-    to the state.  The map is extended when a step is accepted, never
-    rebuilt.
-    """
-
-    __slots__ = ("labels", "examples")
-
-    def __init__(self, examples: ExampleSet = ExampleSet()):
-        self.examples = examples
-        self.labels: dict[Atom, bool] = dict.fromkeys(examples.positives, True)
-        self.labels.update(dict.fromkeys(examples.negatives, False))
-
-    def join(self, pos, neg) -> ExampleSet | None:
-        """The state's examples plus these, as ``ExampleSet.of`` orders them,
-        or None when an atom would carry both labels.  A duplicate is
-        absorbed.  The map is unchanged."""
-        new: dict[Atom, bool] = {}
-        for label, atoms in ((True, pos), (False, neg)):
-            for a in atoms:
-                have = self.labels.get(a)
-                if have is None:
-                    have = new.setdefault(a, label)
-                if have != label:
-                    return None
-        return self.examples.extended(
-            tuple(a for a, label in new.items() if label), tuple(a for a, label in new.items() if not label)
-        )
-
-    def commit(self, examples: ExampleSet) -> None:
-        """Take ``examples``, a join of this map, as the state's examples."""
-        labels = self.labels
-        for a in examples.positives[len(self.examples.positives) :]:
-            labels[a] = True
-        for a in examples.negatives[len(self.examples.negatives) :]:
-            labels[a] = False
-        self.examples = examples
-
-
 def _try_union(
-    labels: LabelMap,
+    session: Session,
     background: Program,
     pos,
     neg,
     bias: BiasSpec,
-    cache: CoverCache,
 ) -> tuple[learner.SolverResult | None, ExampleSet | None]:
     """Solve the state's examples plus a (possibly reduced) candidate's.
 
     `background` is the state's background already unioned with the
     candidate's, so callers union once per candidate, not once per solve.
     """
-    examples = labels.join(pos, neg)
+    examples = session.join(pos, neg)
     if examples is None:
         # candidate contradicts the accepted labels outright
         return None, None
-    res = learner.solve(background, examples, bias, cache)
+    res = learner.solve(background, examples, bias, session)
     return res, examples
 
 
@@ -353,15 +310,14 @@ def _acceptable(res: learner.SolverResult | None) -> bool:
 
 
 def retain_partial(
-    labels: LabelMap,
+    session: Session,
     subset: SubsetInstance,
     background: Program,
     bias: BiasSpec,
-    cache: CoverCache,
 ):
     """Peel examples off a failed candidate until the union solves again.
 
-    `labels` holds the state's examples, and `background` is the state's
+    `session` holds the state's examples, and `background` is the state's
     background unioned with the candidate's, as the failed whole-subset
     attempt built it.  Removal is cumulative, newest-parsed first, negatives
     before positives; at least one of the candidate's own positives must
@@ -377,7 +333,7 @@ def retain_partial(
             removed_neg.append(neg.pop())
         else:
             removed_pos.append(pos.pop())
-        res, examples = _try_union(labels, background, pos, neg, bias, cache)
+        res, examples = _try_union(session, background, pos, neg, bias)
         if _acceptable(res):
             return removed_pos, removed_neg, res, background, examples
     return None
@@ -400,7 +356,8 @@ def aggregate(
 
     on_accept(trial, state) fires after every accepted candidate; the
     state is training-correct, as the solver's self-check has confirmed.
-    Every solve goes through ``cache``, a fresh one when none is passed.
+    Each trial runs in a session over ``cache``, a fresh cache when none is
+    passed.
     """
     if not reliable:
         return AggregationOutcome(_empty_state(), 0, (), False)
@@ -452,16 +409,16 @@ def _run_trial(
     # config is not read; tests/test_acceptance.py drives trials through
     # this signature, so it stays
     state = _empty_state()
-    labels = LabelMap(state.examples)
+    session = Session(cache)
     log: list[CandidateDecision] = []
     for subset in order:
         background = state.background.union(subset.background)
         pos, neg = subset.examples.positives, subset.examples.negatives
-        res, examples = _try_union(labels, background, pos, neg, bias, cache)
+        res, examples = _try_union(session, background, pos, neg, bias)
         partial = not _acceptable(res)
         removed_pos = removed_neg = ()
         if partial:
-            reduced = retain_partial(labels, subset, background, bias, cache)
+            reduced = retain_partial(session, subset, background, bias)
             if reduced is None:
                 log.append(
                     CandidateDecision(
@@ -485,7 +442,7 @@ def _run_trial(
                 removed_negatives=tuple(str(a) for a in removed_neg),
             )
         )
-        labels.commit(examples)
+        session.commit(examples)
         state = AggregationState(
             accepted_ids=(*state.accepted_ids, subset.id),
             background=background,
@@ -576,9 +533,7 @@ def run_pipeline(sources: list[BundleSource], bias: BiasSpec, config: PipelineCo
     pruned, prune_records = prune_by_support(
         best.hypothesis, best.background, best.examples.positives, config.support_threshold
     )
-    # an unpruned hypothesis over the last verified state reuses its model
-    _, covered_neg = cache.check(best.background, pruned, best.examples)
-    if covered_neg:
+    if learner.verify(best.background, pruned, best.examples).covered_negatives:
         raise RuntimeError("pruned hypothesis covers an aggregated negative")
 
     if not sources:

@@ -1,10 +1,10 @@
 """Aggregation steps that cost in proportion to the joining subset.
 
-The solver's self-check carries its least model forward in ``CoverCache``
-while the hypothesis holds and the background only grows, and each trial
-checks a joining subset's examples against one ordered ``LabelMap``.  Both
-are checked here against from-scratch references: the naive model oracle,
-``consequences`` and ``ExampleSet.of``.
+The solver's self-check carries its least model forward in a trial's
+``Session`` while the hypothesis holds and the background only grows, and
+the session checks a joining subset's examples against its committed
+labels.  Both are checked here against from-scratch references: the naive
+model oracle, ``consequences`` and ``ExampleSet.of``.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ import random
 from pathlib import Path
 
 from hornpipe import entailment, learner
-from hornpipe.cover import CoverCache
+from hornpipe.cover import Session
 from hornpipe.entailment import consequences
 from hornpipe.logic import Atom, ExampleSet, Program, atom, const
 from hornpipe.parsing import parse_bias, parse_clause, parse_facts, parse_rules
-from hornpipe.pipeline import LabelMap, PipelineConfig, aggregate, run_checks
+from hornpipe.pipeline import PipelineConfig, aggregate, run_checks
 from hornpipe.synthgen import generate_corpus
 
 from oracles import naive_consequences, random_instance
@@ -54,7 +54,7 @@ def _chain(seed: int, steps: int = 10) -> int:
     longer extend the ones checked before.
     """
     rng = random.Random(seed)
-    cache = CoverCache()
+    session = Session()
     background, hypothesis = random_instance(rng)
     examples = ExampleSet()
     carried = 0
@@ -71,12 +71,12 @@ def _chain(seed: int, steps: int = 10) -> int:
         if rng.random() < 0.1:
             examples = ExampleSet.of(examples.positives[::-1], examples.negatives[::-1])
 
-        kept = cache._verified
-        missed, bad = cache.check(background, hypothesis, examples)
+        kept = session._verified
+        missed, bad = session.check(background, hypothesis, examples)
         case = f"\nB={background}\nH={hypothesis}\nE={examples}"
         assert sorted(missed, key=str) == sorted((a for a in examples.positives if a not in model), key=str), case
         assert sorted(bad, key=str) == sorted((a for a in examples.negatives if a in model), key=str), case
-        now = cache._verified
+        now = session._verified
         if now is None:
             assert missed or bad
             examples = ExampleSet()  # start the labels over
@@ -112,13 +112,13 @@ def test_old_negative_entering_the_model_is_caught():
     hypothesis = Program.of([parse_clause("h(X,Y):- p(X,Y).")])
     examples = ExampleSet.of([atom("h", "a", "b")], [atom("h", "b", "a")])
     for extra in ("h(b,a).\n", "p(b,a).\n"):
-        cache = CoverCache()
-        assert cache.check(background, hypothesis, examples) == ([], [])
-        model = cache._verified.model
+        session = Session()
+        assert session.check(background, hypothesis, examples) == ([], [])
+        model = session._verified.model
         grown = background.union(parse_facts(extra))
-        assert cache.check(grown, hypothesis, examples) == ([], [atom("h", "b", "a")])
+        assert session.check(grown, hypothesis, examples) == ([], [atom("h", "b", "a")])
         assert ("h", ("b", "a")) in model  # the kept model was carried, not rebuilt
-        assert cache._verified is None
+        assert session._verified is None
 
 
 def test_carried_model_runs_every_semi_naive_round():
@@ -129,18 +129,18 @@ def test_carried_model_runs_every_semi_naive_round():
         [parse_clause("path(X,Y):- edge(X,Y)."), parse_clause("path(X,Z):- path(X,Y),edge(Y,Z).")]
     )
     examples = ExampleSet.of([atom("path", "c0", "c3")], [atom("path", "c8", "c0")])
-    cache = CoverCache()
-    assert cache.check(background, hypothesis, examples) == ([], [])
+    session = Session()
+    assert session.check(background, hypothesis, examples) == ([], [])
     grown = background.union(parse_facts("edge(c3,c4).\n"))
     longer = ExampleSet.of([*examples.positives, atom("path", "c0", "c8")], examples.negatives)
-    assert cache.check(grown, hypothesis, longer) == ([], [])
-    assert cache._verified.model.atoms() == naive_consequences(grown, hypothesis)
+    assert session.check(grown, hypothesis, longer) == ([], [])
+    assert session._verified.model.atoms() == naive_consequences(grown, hypothesis)
 
 
 def test_fresh_cache_self_check_compiles_each_rule_once(monkeypatch):
-    """A solve with no cache, as a subset check without a shared one is,
-    compiles each hypothesis rule once for its self-check's model and the
-    rules it keeps."""
+    """A solve with a fresh session, as every subset check has, compiles
+    each hypothesis rule once for its self-check's model and the rules it
+    keeps."""
     bias = parse_bias("head_pred(goal,2).\nbody_pred(p,2).\nbody_pred(q,2).\nmax_vars(2).\nmax_body(1).\n")
     background = parse_facts("p(a,b).\nq(c,d).\n")
     examples = ExampleSet.of([atom("goal", "a", "b"), atom("goal", "c", "d")], [atom("goal", "b", "a")])
@@ -159,19 +159,25 @@ def test_fresh_cache_self_check_compiles_each_rule_once(monkeypatch):
     assert sorted(compiled, key=str) == rules
 
 
-# --- the label map -------------------------------------------------------------
+# --- the committed labels ------------------------------------------------------
 
 
-def test_label_map_joins_exactly_as_example_set_of():
+def _committed(examples: ExampleSet) -> Session:
+    session = Session()
+    session.commit(examples)
+    return session
+
+
+def test_session_joins_exactly_as_example_set_of():
     """On random chains with clashes and duplicates, a join accepts and
     rejects what ``ExampleSet.of`` accepts and rejects over the whole union,
-    with the same example order, and a commit leaves the map labelling
+    with the same example order, and a commit leaves the session labelling
     exactly the committed examples."""
     rng = random.Random(1993)
     universe = [atom("h", x, y) for x in "abc" for y in "abc"]
     clashes = duplicates = commits = 0
     for _ in range(300):
-        labels = LabelMap()
+        labels = Session()
         for _ in range(8):
             pos = [rng.choice(universe) for _ in range(rng.randint(0, 3))]
             neg = [rng.choice(universe) for _ in range(rng.randint(0, 3))]
@@ -181,7 +187,7 @@ def test_label_map_joins_exactly_as_example_set_of():
             except ValueError:
                 want = None
             got = labels.join(pos, neg)
-            assert labels.examples is state  # a join leaves the map as it was
+            assert labels.examples is state  # a join leaves the session as it was
             if want is None:
                 assert got is None
                 clashes += 1
@@ -193,7 +199,7 @@ def test_label_map_joins_exactly_as_example_set_of():
                 labels.commit(got)
                 commits += 1
                 assert labels.examples is got
-                assert labels.labels == LabelMap(want).labels
+                assert labels.labels == _committed(want).labels
     assert clashes > 300 and duplicates > 300 and commits > 300
 
 

@@ -19,6 +19,7 @@ from hornpipe import cover, learner
 from hornpipe.cover import (
     CandidateList,
     CoverCache,
+    Session,
     WantedSet,
     coverage_tables,
     covered_atoms,
@@ -226,7 +227,7 @@ def test_split_body_covers_across_components():
     clause = canonical(parse_clause("collision(X,Y):- cross_runway(X,R),landing_runway(Y,S)."))
     cands = CandidateList([clause])
     assert len(cands.uses[0]) == 2
-    tables = coverage_tables(cands, CoverCache().solved(b, cands))
+    tables = coverage_tables(cands, Session().solved(b, cands))
     want = [atom("collision", "a", "b"), atom("collision", "b", "a")]
     wanted = WantedSet(want)
     (mask,) = covered_atoms(tables, wanted)
@@ -245,11 +246,13 @@ def test_candidate_list_rejects_non_candidate_clauses():
 def test_cover_cache_reused_across_stores():
     candidates = candidate_list(PLANT_BIAS)
     cache = CoverCache()
+    session = Session(cache)
     b1 = parse_facts("cross_runway(a,r1).\nlanding_runway(b,r1).\n")
-    cache.solved(b1, candidates)
+    session.solved(b1, candidates)
+    session.commit(session.examples)
     n1 = len(cache.tables)
     b2 = parse_facts("cross_runway(a,r1).\nlanding_runway(b,r1).\ncross_runway(c,r2).\n")
-    cache.solved(b2, candidates)
+    session.solved(b2, candidates)
     # the second solve adds one fact set: the new fact, which shares no
     # constant with b1, so it touches no base component
     assert len(cache.tables) == n1 + 1
@@ -278,10 +281,10 @@ def test_shared_group_fires_once_per_solve(monkeypatch):
     slots = [g.rule for g in carried if g.preds <= {"p", "r"}]
     distinct = {canonical(rule) for rule in slots}
     assert len(distinct) < len(slots)
-    cache = CoverCache()
-    cache.solved(background, candidates)
+    session = Session()
+    session.solved(background, candidates)
     assert len(fired) == len(distinct)
-    cache.solved(background, candidates)
+    session.solved(background, candidates)
     assert len(fired) == len(distinct)
 
 
@@ -305,7 +308,7 @@ def test_cover_path_matches_engine_on_random_instances():
     rng = random.Random(20260301)
     for _ in range(40):
         background, ex = random_solver_instance(rng)
-        tables = coverage_tables(candidates, CoverCache().solved(background, candidates))
+        tables = coverage_tables(candidates, Session().solved(background, candidates))
         wanted = WantedSet((*ex.positives, *ex.negatives))
         for cand, mask in zip(candidates, covered_atoms(tables, wanted)):
             fast = atoms_of(wanted, mask)
@@ -343,7 +346,7 @@ def test_cover_path_matches_exhaustive_oracle_across_components():
         every = [atom("h", x, y) for x in consts for y in consts]
         some = rng.sample(every, k=len(every) // 4)
         every_set, some_set = WantedSet(every), WantedSet(some)
-        tables = coverage_tables(candidates, CoverCache().solved(background, candidates))
+        tables = coverage_tables(candidates, Session().solved(background, candidates))
         for cand, every_mask, some_mask, some_hit in zip(
             candidates,
             covered_atoms(tables, every_set),
@@ -377,7 +380,7 @@ def test_group_key_under_different_slots_scores_apart():
     hit = atom("h", "a", "b")
     want = {cands[0].text: {hit}, cands[1].text: set()}
     for order in (CandidateList(clauses), CandidateList(clauses[::-1])):
-        tables = coverage_tables(order, CoverCache().solved(background, order))
+        tables = coverage_tables(order, Session().solved(background, order))
         negatives, positives = WantedSet([hit]), WantedSet([hit])
         for cand, bad, mask in zip(order, covers_any(tables, negatives), covered_atoms(tables, positives)):
             assert bad == bool(want[cand.text])
@@ -398,7 +401,7 @@ def test_head_predicates_score_apart():
     # the same head slots and group key, under different heads
     assert candidates.slotted[h_group][2:] == candidates.slotted[g_group][2:]
     background = parse_facts("p(a,b).\n")
-    tables = coverage_tables(candidates, CoverCache().solved(background, candidates))
+    tables = coverage_tables(candidates, Session().solved(background, candidates))
     negatives = WantedSet([atom("g", "a", "b"), atom("h", "b", "a")])
     positives = WantedSet([atom("h", "a", "b"), atom("g", "b", "a")])
     unsafe, derived = covers_any(tables, negatives), covered_atoms(tables, positives)
@@ -415,13 +418,13 @@ def test_wanted_set_reused_across_stores():
     clause = canonical(parse_clause("h(X,Y):- p(X,Z),q(Z,Y)."))
     cands = CandidateList([clause])
     wanted = WantedSet([atom("h", "a", "b")])
-    cache = CoverCache()
+    session = Session()
     for facts, covered in (
         ("p(a,c).\nq(c,b).\n", True),
         ("p(a,c).\nq(c,d).\n", False),
         ("p(a,c).\nq(c,b).\n", True),
     ):
-        tables = coverage_tables(cands, cache.solved(parse_facts(facts), cands))
+        tables = coverage_tables(cands, session.solved(parse_facts(facts), cands))
         assert covers_any(tables, wanted) == [covered]
         (mask,) = covered_atoms(tables, wanted)
         assert atoms_of(wanted, mask) == ({atom("h", "a", "b")} if covered else set())
@@ -498,24 +501,25 @@ def test_derived_solved_background_equals_a_fresh_one():
     for _ in range(60):
         bias, subsets = background_chain(rng)
         candidates = candidate_list(bias)
-        cache = CoverCache()
+        session = Session()
         state = Program.of(())
         latest = None
         seen: list[tuple[cover.SolvedBackground, Program]] = []
         for subset in subsets:
             background = state.union(subset)
-            form = cache.solved(background, candidates)
+            form = session.solved(background, candidates)
             assert_solved_is_fresh(form, background, candidates)
             old, new = constants(state), constants(subset)
             merges += bool(old & new) and background != state
             discards_then_derived += latest is not None and latest.clauses != state.clauses
             if rng.random() < 0.3:
                 repeats += 1
-                assert cache.solved(background, candidates) is form
+                assert session.solved(background, candidates) is form
             seen.append((form, background))
             latest = form
             if rng.random() < 0.7:
                 state = background
+                session.commit(session.examples)
         for form, background in seen:
             assert_solved_is_fresh(form, background, candidates)
     assert merges > 20 and discards_then_derived > 20 and repeats > 20
@@ -534,9 +538,10 @@ def test_derived_solved_background_equals_a_fresh_one_after_subset_checks():
         bias, subsets = background_chain(rng)
         candidates = candidate_list(bias)
         cache = CoverCache()
+        session = Session(cache)
         seen: list[tuple[cover.SolvedBackground, Program]] = []
         for subset in subsets:
-            form = cache.solved(subset, candidates)
+            form = session.solved(subset, candidates)
             assert_solved_is_fresh(form, subset, candidates)
             seen.append((form, subset))
         state = Program.of(())
@@ -546,13 +551,14 @@ def test_derived_solved_background_equals_a_fresh_one_after_subset_checks():
             own = frozenset(FactStore.from_program(subset).facts())
             hit = own in cache.tables and constants(state).isdisjoint(constants(subset))
             tabled = len(cache.tables)
-            form = cache.solved(background, candidates)
+            form = session.solved(background, candidates)
             assert_solved_is_fresh(form, background, candidates)
             reused += hit and bool(state.clauses) and len(cache.tables) == tabled
             merges += bool(constants(state) & constants(subset)) and background != state
             seen.append((form, background))
             if rng.random() < 0.7:
                 state = background
+                session.commit(session.examples)
         for form, background in seen:
             assert_solved_is_fresh(form, background, candidates)
     assert reused > 5 and merges > 20
@@ -652,9 +658,10 @@ def test_solve_ignores_the_clock(monkeypatch):
 
 
 def test_cover_cache_shared_across_biases():
-    """A cache holds facts about (component, group) pairs, so one cache
+    """A cache holds facts about (component, group) pairs and a session
+    drops its solved forms when the candidate list changes, so one session
     passed through solves under different biases gives each the verdict a
-    fresh cache gives."""
+    fresh one gives."""
     background = parse_facts("p(a,c).\nr(b,a).\n")
     pair = parse_examples("pos(h(a,b)).\nneg(h(b,a)).\n")
     cases = [
@@ -669,8 +676,8 @@ def test_cover_cache_shared_across_biases():
     assert fresh[1].hypothesis == Program.of([parse_clause("h(V0,V1):- r(V1,V0).")])
     assert fresh[2].hypothesis == Program.of([parse_clause("g(V0):- p(V0,V1).")])
     for order, want in ((cases, fresh), (cases[::-1], fresh[::-1])):
-        cache = CoverCache()
-        assert [solve(background, ex, bias, cache) for bias, ex in order] == want
+        session = Session()
+        assert [solve(background, ex, bias, session) for bias, ex in order] == want
 
 
 def test_solve_scores_each_slotted_group_once(monkeypatch):
@@ -696,7 +703,7 @@ def test_solve_scores_each_slotted_group_once(monkeypatch):
     assert res.outcome == "hypothesis"
 
     candidates = candidate_list(SMALL_BIAS)
-    unions = CoverCache().solved(background, candidates).unions
+    unions = Session().solved(background, candidates).unions
     with_solutions = {s for s in candidates.slotted if s[3] in unions}
     carried = [candidates.slotted[i] for uses in candidates.uses for i in uses]
     # many candidates share a slotted group with solutions, so scoring per

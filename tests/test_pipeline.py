@@ -6,13 +6,12 @@ import random
 import pytest
 
 from hornpipe import cover, learner, pipeline
-from hornpipe.cover import CoverCache
+from hornpipe.cover import CoverCache, Session
 from hornpipe.entailment import coverage
 from hornpipe.ingestion import BundleSource, RawBundle
 from hornpipe.logic import Program
 from hornpipe.parsing import parse_bias, parse_examples, parse_facts, parse_rules
 from hornpipe.pipeline import (
-    LabelMap,
     PipelineConfig,
     SubsetInstance,
     _run_trial,
@@ -228,7 +227,7 @@ def test_check_subsets_splits_reliable_from_unreliable():
 def test_check_subsets_parallel_matches_serial():
     """Serial checks through one shared cache, serial checks with a fresh
     cache per solve and pooled checks agree; the last subset extends the
-    one before it, so the shared cache derives its form from a kept one."""
+    one before it."""
     subsets = [
         _subset(f"s-{i}", f"2024-01-0{i+1}", f"p(a{i},b{i}).\n", f"pos(goal(a{i},b{i})).\n")
         for i in range(4)
@@ -379,7 +378,9 @@ def test_retain_partial_peels_contradicting_positive():
     # second positive contradicts the accepted negative label for goal(b,a)
     b = _subset("b", "2024-01-02", "q(c,d).\n", "pos(goal(c,d)).\npos(goal(b,a)).\n")
     union = state_a.background.union(b.background)
-    reduced = retain_partial(LabelMap(state_a.examples), b, union, TEST_BIAS, CoverCache())
+    session = Session()
+    session.commit(state_a.examples)
+    reduced = retain_partial(session, b, union, TEST_BIAS)
     assert reduced is not None
     removed_pos, removed_neg, res, background, examples = reduced
     kept_pos = examples.positives[len(state_a.examples.positives) :]
