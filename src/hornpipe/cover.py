@@ -12,19 +12,18 @@ variables) are the heads that rule derives when ``entailment.fire`` runs it
 once over them, through the same planned join as the fixpoint engine: the
 union of its solutions in each component.
 
-Examples are scored once per slotted group per solve, not once per
-candidate.  A CandidateList, built once per bias, numbers the distinct
-slotted groups ``(head predicate, head arity, head_slots, key)``, gives
-each candidate the indices of its own, and holds each distinct group once,
-so a solve finds the groups the cache lacks without walking the candidates.
-A solve numbers its positives and negatives once, in one WantedSet, reads
-each slotted group's union once and computes one bitmask per slotted
-group: the wanted atoms of the group's head that its solutions reach.  A
-candidate's verdict is then one AND of its groups' masks: the atoms it
-derives are the set bits, so it covers a negative exactly when a negative's
-bit is set.
-Results are exact: equivalence with the fixpoint engine and with exhaustive
-oracles is property-tested.
+Examples are scored once per slotted group, not once per candidate.  A
+CandidateList, built once per bias, numbers the distinct slotted groups
+``(head predicate, head arity, head_slots, key)``, gives each candidate the
+indices of its own, and holds each distinct group once, so a solve finds
+the groups the cache lacks without walking the candidates.  Each example
+atom has a bit, and each slotted group a mask: the atoms of the group's
+head whose arguments at its head slots are among its solutions.  A
+candidate's verdict is one AND of its groups' masks: the atoms it derives
+are the set bits, so it covers a negative exactly when a negative's bit is
+set.  Greedy cover reads gains as popcounts, so no result depends on which
+atom has which bit.  Results are exact: equivalence with the fixpoint
+engine and with exhaustive oracles is property-tested.
 
 The cache is keyed by the content of the facts a solve adds and then by
 group content, a text of the group's rule that is the same under any
@@ -35,17 +34,39 @@ nothing: an aggregation step that adds a subset whose constants are new to
 the state reads the table that subset's own check made, when both stages
 share the cache.
 
-One Session holds an aggregation trial's committed state over a shared
-cache: the committed examples and their labels, the solved form of the
-committed background and of the last one solved, and the least model of the
-last self-check that found its hypothesis consistent.  A solved form is the
-component of each constant and each group's union of solutions; each
-background fact is held once, in its component, and fact membership is read
-from there.  Along a trial the background only grows, so a solve derives
-its form from the committed one when its background extends it: only the
-new facts are converted, they merge the components they share a constant
-with, the groups fire once over the new facts and the base components they
-touch, and only the unions this changes are rebuilt.  The result equals a
+One Session carries an aggregation trial's scoring from solve to solve.
+What it has committed is the trial's background in solved form (the
+component of each constant, which also answers fact membership, and each
+group's union of solutions) and its examples: their labels, a bit for each,
+which no later solve renumbers, the positive, negative and fact bits, a
+projection table per head pattern ``(predicate, arity, head slots)`` from
+projected arguments to atoms, each slotted group's mask and each
+candidate's AND.  A solve is an attempt over that state.  It is told what
+it adds: its background is a ``Program.union`` over the committed one,
+whose added part is the joining or peeled subset's facts, and its examples
+come from ``Session.join``, which knows the new ones.  The attempt then
+only:
+
+- converts the new facts and merges the committed components they share a
+  constant with; the groups fire once over those facts, and each group's
+  union grows by the solutions it lacked;
+- numbers and projects its new atoms;
+- tests its new facts against the committed atoms, and its new atoms
+  against the facts;
+- ORs into each slotted group's mask the hits of its union's growth on the
+  committed atoms and the new atoms' hits on the whole union; the committed
+  union's solutions are over committed constants, so only new atoms over
+  committed constants are probed against it;
+- re-ANDs only the candidates whose group masks changed and whose groups
+  all have hits.
+
+Committed structures change only on ``commit``; an attempt that is peeled
+or discarded is simply dropped, so it costs what it added.  A fresh
+session is the empty committed state, so a standalone solve, a subset
+check and an aggregation step score on the same path.  A solve whose
+background or examples do not extend the committed ones (or that uses
+another candidate list) starts from the empty state; one that was not
+told its delta finds it by set arithmetic.  Either way the result equals a
 from-scratch solve, which is property-tested.
 
 When a self-check has the hypothesis of the session's last consistent one
@@ -59,7 +80,7 @@ session or a changed hypothesis rebuilds it from the background program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .entailment import (
@@ -119,8 +140,7 @@ class SolvedBackground:
     A component is the frozenset of its facts.  A fact lies in the
     component of each of its constants, so the components also answer fact
     membership.  ``unions`` maps a group key to its solutions and omits
-    groups that have none.  A published form is never mutated; a form
-    derived from it copies what changes and shares the rest.
+    groups that have none.  A snapshot: nothing changes it once made.
     """
 
     clauses: frozenset[Clause]
@@ -140,7 +160,8 @@ class SolvedBackground:
         return out
 
 
-_EMPTY = SolvedBackground(frozenset(), {}, {})
+_NO_FACTS = Program()
+_NO_EXAMPLES = ExampleSet()
 
 
 class _Verified(NamedTuple):
@@ -148,7 +169,7 @@ class _Verified(NamedTuple):
     hypothesis and least model, and the examples checked against that model,
     with each negative by its fact."""
 
-    clauses: frozenset[Clause]
+    background: Program
     hypothesis: frozenset[Clause]
     model: FactStore
     examples: ExampleSet
@@ -176,29 +197,437 @@ class CoverCache:
         return table
 
 
+# --------------------------------------------------------------- the kernel
+
+Rows = Iterable[tuple[int, tuple[str, ...]]]  # (bit index, arguments) per atom
+
+
+def _project(rows: Rows, slots: tuple[int, ...], every: bool) -> dict[tuple[str, ...], int]:
+    """The atoms by their arguments at ``slots``, as bitmasks; ``every``
+    says the slots are all the arguments, in order."""
+    table: dict[tuple[str, ...], int] = {}
+    for i, args in rows:
+        key = args if every else tuple([args[s] for s in slots])
+        table[key] = table.get(key, 0) | 1 << i
+    return table
+
+
+def _hits(table: dict[tuple[str, ...], int], union) -> int:
+    """The atoms of a projection table whose projection is among the
+    solutions ``union``, walking whichever side is smaller."""
+    out = 0
+    if len(union) < len(table):
+        for sol in union:
+            out |= table.get(sol, 0)
+    else:
+        for key, bits in table.items():
+            if key in union:
+                out |= bits
+    return out
+
+
+def _mask(mask: int, old: int, table, known, shift: int, union, growth) -> tuple[int, int]:
+    """One slotted group's mask after an attempt, and the solutions probed.
+
+    ``mask`` is the committed mask and ``old`` the hits of the union's
+    growth on the committed atoms.  ``table`` projects the attempt's new
+    atoms, numbered from 0, which take the bits from ``shift`` up, and
+    ``known`` those of them whose projections are over committed constants
+    alone.  ``union`` is the committed union, whose solutions are over
+    committed constants, so only ``known`` is probed against it, and
+    ``growth`` is what the attempt adds to it.
+    """
+    new = probes = 0
+    if known and union:
+        new = _hits(known, union)
+        probes = min(len(known), len(union))
+    if table and growth:
+        new |= _hits(table, growth)
+        probes += min(len(table), len(growth))
+    return mask | old | new << shift, probes
+
+
+Pattern = tuple[str, int, tuple[int, ...]]  # head predicate, head arity, head_slots
+
+
+class _Index(NamedTuple):
+    """A candidate list's slotted groups, indexed the ways an attempt reads them."""
+
+    patterns: dict[tuple[str, int], list[tuple[Pattern, tuple[int, ...], bool]]]  # per head: (pattern, slots, every)
+    by_key: dict[str, list[int]]
+    pattern_of: list[Pattern]
+    key_of: list[str]
+    users: list[list[int]]  # per slotted group, the candidates that carry it
+
+
+@lru_cache(maxsize=8)
+def _index(candidates: CandidateList) -> _Index:
+    """Built at a list's first solve, not with the list, so compiling a bias stays as it was."""
+    patterns: dict[tuple[str, int], list[tuple[Pattern, tuple[int, ...], bool]]] = {}
+    by_key: dict[str, list[int]] = {}
+    pattern_of, key_of = [], []
+    for i, (pred, arity, slots, key) in enumerate(candidates.slotted):
+        by_key.setdefault(key, []).append(i)
+        pattern_of.append((pred, arity, slots))
+        key_of.append(key)
+    for pattern in dict.fromkeys(pattern_of):
+        pred, arity, slots = pattern
+        # slots ascend, so they are all of them, in order, when as many
+        patterns.setdefault((pred, arity), []).append((pattern, slots, len(slots) == arity))
+    users: list[list[int]] = [[] for _ in candidates.slotted]
+    for j, uses in enumerate(candidates.uses):
+        for i in uses:
+            users[i].append(j)
+    return _Index(patterns, by_key, pattern_of, key_of, users)
+
+
+# ---------------------------------------------------------- the session state
+
+
+class _Base:
+    """A committed state that attempts extend; only ``Attempt.merge`` changes it.
+
+    Background: the program object solved, the component of each constant
+    and each group key's solutions (omitted when none).  Examples: the ones
+    numbered, in ``examples``; ``bit_of`` maps each atom's fact to its bit
+    index, and ``positives``, ``negatives`` and ``facts`` are masks.
+    ``heads`` holds the distinct ``(predicate, arity)`` of the positives and
+    of the negatives, in first-seen order.  ``proj`` maps a head pattern to
+    the numbered atoms' projection table, ``masks`` lists each slotted
+    group's mask, ``nonzero`` holds the groups whose mask is not 0, and
+    ``derived`` maps each candidate to its AND, omitted when 0.  ``unsafe``
+    counts the candidates that derive a negative, and ``usable`` holds
+    those that derive no negative and some positive.
+    """
+
+    __slots__ = (
+        "candidates", "background", "component_of", "unions", "examples", "heads", "bit_of",
+        "proj", "masks", "nonzero", "derived", "positives", "negatives", "facts", "unsafe", "usable",
+    )  # fmt: skip
+
+    def __init__(self, candidates: CandidateList | None = None) -> None:
+        self.candidates = candidates
+        self.background: Program = _NO_FACTS
+        self.component_of: dict[str, frozenset[Fact]] = {}
+        self.unions: dict[str, set] = {}
+        self.examples = _NO_EXAMPLES
+        self.heads: tuple[dict[tuple[str, int], None], dict[tuple[str, int], None]] = ({}, {})
+        self.bit_of: dict[Fact, int] = {}
+        self.proj: dict[Pattern, dict[tuple[str, ...], int]] = {}
+        self.masks: list[int] = [0] * len(candidates.slotted) if candidates is not None else []
+        self.nonzero: set[int] = set()
+        self.derived: dict[int, int] = {}
+        self.positives = self.negatives = self.facts = self.unsafe = 0
+        self.usable: set[int] = set()
+
+
+def _added_clauses(background: Program, have: Program) -> frozenset[Clause] | None:
+    """The clauses ``background`` adds to ``have``, or None when it lacks
+    some of ``have``'s.  A union over ``have`` names what it adds (which may
+    repeat some of ``have``'s), so only that is read; any other background
+    is compared as a whole."""
+    if background is have:
+        return frozenset()
+    if getattr(background, "base", None) is have:
+        return background.added.clauses  # type: ignore[attr-defined]
+    clauses, old = background.clauses, have.clauses
+    if not old:
+        return clauses
+    if not old <= clauses:
+        return None
+    return clauses - old
+
+
+def _added_facts(base: _Base, background: Program) -> list[Fact] | None:
+    """The facts ``background`` adds to the base's, or None when it lacks
+    some of them."""
+    clauses = _added_clauses(background, base.background)
+    if clauses is None:
+        return None
+    component_of = base.component_of
+    return [f for f in background_facts(clauses) if not (f[1] and f in component_of.get(f[1][0], ()))]
+
+
+class _Grown:
+    """What a background adds to a base: its new facts, the components they
+    form or merge (``component_of``, by constant) and, per group key, the
+    solutions the base's union lacks (``growth``).  Peels re-solve one
+    background, so their attempts share one.  ``work`` is the session's
+    count of scoring work, which this and its attempts add to."""
+
+    __slots__ = ("base", "background", "facts", "work", "component_of", "growth", "_old", "_form")
+
+    def __init__(self, base: _Base, background: Program, facts: list[Fact], cache: CoverCache, work: list[int]):
+        self.base, self.background, self.facts, self.work = base, background, facts, work
+        self.component_of: dict[str, frozenset[Fact]] = {}
+        self.growth: dict[str, frozenset] = {}
+        self._old: tuple[dict[int, int], int] | None = None
+        self._form: SolvedBackground | None = None
+        if not facts:
+            return
+        component_of = base.component_of
+        # a new fact joins every base component it shares a constant with
+        touched = {component_of[c] for _, args in facts for c in args if c in component_of}
+        added = _Added([*facts, *(f for component in touched for f in component)])
+        for members in added.store.components():
+            component = frozenset(members)
+            for _, args in members:
+                for c in args:
+                    self.component_of[c] = component
+        # every match of a group lies inside one component, so one firing over
+        # the added facts unions the group's solutions in their components;
+        # a merged component keeps every fact of the base components it
+        # absorbed, so what the base union lacks is exactly the growth
+        unions = base.unions
+        probes = 0
+        for key, sols in cache.table(added, base.candidates.groups.values()).items():
+            if sols:
+                have = unions.get(key)
+                if have:
+                    probes += len(sols)
+                    sols = sols - have
+                if sols:
+                    self.growth[key] = sols
+        work[0] += probes
+
+    def component(self, c: str) -> frozenset[Fact] | None:
+        got = self.component_of.get(c)
+        return got if got is not None else self.base.component_of.get(c)
+
+    def old_hits(self, index: _Index) -> tuple[dict[int, int], int]:
+        """The base's numbered atoms that this growth reaches: per slotted
+        group, those its union's growth hits, and those now facts."""
+        if self._old is None:
+            base = self.base
+            hits: dict[int, int] = {}
+            facts = 0
+            if base.bit_of:
+                probes = 0
+                for key, sols in self.growth.items():
+                    for i in index.by_key.get(key, ()):
+                        table = base.proj.get(index.pattern_of[i])
+                        if table:
+                            probes += min(len(table), len(sols))
+                            bits = _hits(table, sols)
+                            if bits:
+                                hits[i] = bits
+                self.work[0] += probes
+                bit_of = base.bit_of
+                for f in self.facts:
+                    i = bit_of.get(f)
+                    if i is not None:
+                        facts |= 1 << i
+            self._old = (hits, facts)
+        return self._old
+
+    def form(self) -> SolvedBackground:
+        if self._form is None:
+            base = self.base
+            unions = {key: frozenset(sols) for key, sols in base.unions.items()}
+            for key, sols in self.growth.items():
+                unions[key] = unions.get(key, frozenset()) | sols
+            component_of = {**base.component_of, **self.component_of}
+            self._form = SolvedBackground(self.background.clauses, component_of, unions)
+        return self._form
+
+
+class Attempt:
+    """One solve over a session: its committed state plus what the solve's
+    background and examples add.
+
+    ``positives``, ``negatives`` and ``facts`` are masks over every atom,
+    committed and new; the new atoms take the bits from ``shift`` up.  The
+    candidates are scored on the first ``cover``; ``Session.commit`` merges
+    the attempt into the state, and a later attempt drops it.
+    """
+
+    __slots__ = (
+        "grown", "examples", "new", "shift", "bit_of", "proj", "known", "positives", "negatives",
+        "facts", "masks", "grew", "derived", "unsafe", "usable",
+    )  # fmt: skip
+
+    def __init__(self, grown: _Grown, examples: ExampleSet, new_pos, new_neg):
+        base = grown.base
+        index = _index(base.candidates)
+        self.grown, self.examples, self.new = grown, examples, (new_pos, new_neg)
+        self.shift = shift = len(base.bit_of)
+        self.bit_of: dict[Fact, int] = {}
+        by_head: dict[tuple[str, int], list[tuple[int, tuple[str, ...]]]] = {}
+        facts = 0
+        n = 0
+        for atoms in (new_pos, new_neg):
+            for a in atoms:
+                args = tuple([t.name for t in a.args])
+                fact = (a.predicate, args)
+                self.bit_of[fact] = shift + n
+                by_head.setdefault((a.predicate, len(args)), []).append((n, args))
+                component = grown.component(args[0])
+                if component is not None and fact in component:
+                    facts |= 1 << n
+                n += 1
+        self.proj: dict[Pattern, dict[tuple[str, ...], int]] = {}
+        self.known: dict[Pattern, dict[tuple[str, ...], int]] = {}
+        component_of = base.component_of
+        entries = 0
+        for head, rows in by_head.items():
+            for pattern, slots, every in index.patterns.get(head, ()):
+                self.proj[pattern] = _project(rows, slots, every)
+                entries += len(rows)
+                if component_of:
+                    known = [row for row in rows if all(row[1][s] in component_of for s in slots)]
+                    if known:
+                        self.known[pattern] = _project(known, slots, every)
+                        entries += len(known)
+        grown.work[0] += n + entries
+        _, old_facts = grown.old_hits(index)
+        n_pos = len(new_pos)
+        self.positives = base.positives | ((1 << n_pos) - 1) << shift
+        self.negatives = base.negatives | ((1 << (n - n_pos)) - 1) << (shift + n_pos)
+        self.facts = base.facts | old_facts | facts << shift
+        self.masks: list[int] | None = None
+
+    def cover(self) -> tuple[int, list[tuple[Candidate, int]]]:
+        """The number of candidates that derive no negative, and the ones
+        that derive no negative and some positive, each with the atoms it
+        derives as a mask."""
+        if self.masks is None:
+            self._score()
+        candidates = self.grown.base.candidates.candidates
+        return len(candidates) - self.unsafe, [(candidates[j], got) for j, got in self.usable]
+
+    def _score(self) -> None:
+        grown = self.grown
+        base = grown.base
+        index = _index(base.candidates)
+        old, _ = grown.old_hits(index)
+        unions, growth, committed, proj, known = base.unions, grown.growth, base.masks, self.proj, self.known
+        # a group's mask changes only where its union's growth reaches atoms,
+        # or where new atoms over committed constants meet its committed union
+        todo = dict.fromkeys(old)
+        for keys, tables in ((growth, proj), (unions, known)):
+            if tables:
+                for key in keys:
+                    for i in index.by_key.get(key, ()):
+                        if index.pattern_of[i] in tables:
+                            todo[i] = None
+        masks = committed[:]
+        grew: list[int] = []
+        probes = 0
+        for i in todo:
+            key = index.key_of[i]
+            was = masks[i]
+            pattern = index.pattern_of[i]
+            mask, n = _mask(
+                was, old.get(i, 0), proj.get(pattern), known.get(pattern), self.shift, unions.get(key), growth.get(key)
+            )
+            probes += n
+            if mask != was:
+                masks[i] = mask
+                grew.append(i)
+        grown.work[0] += probes
+        # only a candidate that carries a changed group can derive more, and
+        # only one whose groups all have hits derives anything; the new bits
+        # are new atoms, so one that derives what it did keeps its safety and
+        # its use
+        uses = base.candidates.uses
+        nonzero = base.nonzero.union(grew)
+        changed = set().union(*[index.users[i] for i in grew])
+        was_derived, was_negatives = base.derived, base.negatives
+        positives, negatives = self.positives, self.negatives
+        derived: dict[int, int] = {}
+        unsafe = base.unsafe
+        usable = []
+        for j in [j for j in changed if nonzero.issuperset(uses[j])]:
+            got = -1  # every bit set; a candidate has at least one group
+            for i in uses[j]:
+                got &= masks[i]
+            was = was_derived.get(j, 0)
+            if got == was:
+                continue
+            derived[j] = got
+            if was & was_negatives:
+                unsafe -= 1
+            if got & negatives:
+                unsafe += 1
+            elif got & positives:
+                usable.append((j, got))
+        usable += [(j, was_derived[j]) for j in base.usable if j not in derived]
+        self.masks, self.derived, self.unsafe, self.usable = masks, derived, unsafe, usable
+        self.grew = grew
+
+    def merge(self) -> _Base:
+        """Apply this attempt to its base, and return the base."""
+        if self.masks is None:
+            self._score()
+        grown = self.grown
+        base = grown.base
+        base.background = grown.background
+        base.component_of.update(grown.component_of)
+        for key, sols in grown.growth.items():
+            have = base.unions.get(key)
+            if have is None:
+                base.unions[key] = set(sols)
+            else:
+                have |= sols
+        base.examples = self.examples
+        for heads, atoms in zip(base.heads, self.new):
+            for a in atoms:
+                heads.setdefault((a.predicate, len(a.args)))
+        base.bit_of.update(self.bit_of)
+        shift = self.shift
+        for pattern, table in self.proj.items():
+            have = base.proj.setdefault(pattern, {})
+            for key, bits in table.items():
+                have[key] = have.get(key, 0) | bits << shift
+        base.masks = self.masks
+        base.nonzero.update(self.grew)
+        for j, got in self.derived.items():
+            if got:
+                base.derived[j] = got
+            else:
+                base.derived.pop(j, None)
+        base.positives, base.negatives, base.facts = self.positives, self.negatives, self.facts
+        base.unsafe = self.unsafe
+        base.usable.difference_update(self.derived)
+        base.usable.update(j for j, _ in self.usable)
+        return base
+
+
 class Session:
     """One aggregation trial's committed state over a shared cache.
 
     ``examples`` are the committed examples, which keep the order they were
     first seen in, and ``labels`` maps each to True for a positive and False
-    for a negative.  The committed solved form is the last solve's form at
-    the last commit.  A session serves one candidate list: given another,
-    it drops its solved forms, whose unions cover the old list's groups only.
+    for a negative.  The committed scoring state is the last attempt's at
+    the last commit.  ``work`` counts the scoring work done so far (atoms
+    numbered, projection entries written and solutions probed); it is
+    deterministic, so it bounds what an attempt costs without a clock.
+    Attempts hold no reference to their session, so a session is freed as
+    soon as it is dropped, not by the cycle collector.
     """
 
     def __init__(self, cache: CoverCache | None = None) -> None:
         self.cache = cache if cache is not None else CoverCache()
-        self.examples = ExampleSet()
+        self.examples = _NO_EXAMPLES
         self.labels: dict[Atom, bool] = {}
-        self._candidates: CandidateList | None = None
-        self._committed = self._last = _EMPTY
+        self._work = [0]  # one item, which attempts add to
+        self._base = _Base()
+        self._attempt: Attempt | None = None
+        # the last join: (its examples, the committed ones it extends, new positives, new negatives)
+        self._joined: tuple[ExampleSet, ExampleSet, tuple[Atom, ...], tuple[Atom, ...]] | None = None
         self._verified: _Verified | None = None
+
+    @property
+    def work(self) -> int:
+        return self._work[0]
 
     def join(self, pos: Iterable[Atom], neg: Iterable[Atom]) -> ExampleSet | None:
         """The committed examples plus these, as ``ExampleSet.of`` orders
         them, or None when an atom would carry both labels.  A duplicate is
         absorbed.  Only the joining atoms are looked up, so a join costs in
-        proportion to them, not to the state.  The session is unchanged."""
+        proportion to them, not to the state.  The committed state is
+        unchanged; the session remembers which atoms the join added, so an
+        attempt over its examples numbers only those."""
         new: dict[Atom, bool] = {}
         for label, atoms in ((True, pos), (False, neg)):
             for a in atoms:
@@ -207,63 +636,102 @@ class Session:
                     have = new.setdefault(a, label)
                 if have != label:
                     return None
-        return self.examples.extended(
-            tuple(a for a, label in new.items() if label), tuple(a for a, label in new.items() if not label)
-        )
+        new_pos = tuple(a for a, label in new.items() if label)
+        new_neg = tuple(a for a, label in new.items() if not label)
+        out = self.examples.extended(new_pos, new_neg)
+        self._joined = (out, self.examples, new_pos, new_neg)
+        return out
+
+    def _delta(self, have: ExampleSet, examples: ExampleSet) -> tuple[tuple[Atom, ...], tuple[Atom, ...]] | None:
+        """The positives and negatives ``examples`` append to ``have``, or
+        None when they do not extend it: told by the last join, or found by
+        comparing the prefixes."""
+        if examples is have:
+            return (), ()
+        joined = self._joined
+        if joined is not None and joined[0] is examples and joined[1] is have:
+            return joined[2], joined[3]
+        pos, neg = examples.positives, examples.negatives
+        n_pos, n_neg = len(have.positives), len(have.negatives)
+        if pos[:n_pos] != have.positives or neg[:n_neg] != have.negatives:
+            return None
+        return pos[n_pos:], neg[n_neg:]
 
     def commit(self, examples: ExampleSet) -> None:
         """Take ``examples``, a join of this session, as the committed
-        examples, and the last solve's form as the committed form."""
+        examples, and merge the open attempt into the committed state.
+
+        RuntimeError when ``examples`` do not extend the committed examples:
+        they must keep those in order and add only unlabelled atoms.
+        """
+        new = self._delta(self.examples, examples)
         labels = self.labels
-        for a in examples.positives[len(self.examples.positives) :]:
-            labels[a] = True
-        for a in examples.negatives[len(self.examples.negatives) :]:
-            labels[a] = False
+        if new is None or any(a in labels for atoms in new for a in atoms):
+            raise RuntimeError("commit: the examples do not extend the committed examples")
+        for label, atoms in zip((True, False), new):
+            for a in atoms:
+                labels[a] = label
         self.examples = examples
-        self._committed = self._last
+        if self._attempt is not None:
+            self._base = self._attempt.merge()
+            self._attempt = None
+
+    def heads(self, examples: ExampleSet) -> list[tuple[str, int]]:
+        """The ``(predicate, arity)`` of the examples' atoms, each once, in
+        order of first occurrence with the positives first.  The committed
+        atoms' are read from the committed state, so only new atoms are read."""
+        base = self._base
+        seen_heads = base.heads
+        new = self._delta(base.examples, examples)
+        if new is None:
+            new, seen_heads = (examples.positives, examples.negatives), ({}, {})
+        out: dict[tuple[str, int], None] = {}
+        for seen, atoms in zip(seen_heads, new):
+            out.update(seen)
+            for a in atoms:
+                out.setdefault((a.predicate, len(a.args)))
+        return list(out)
+
+    def attempt(self, background: Program, examples: ExampleSet, candidates: CandidateList) -> Attempt:
+        """Open an attempt to solve ``examples`` over ``background``, which
+        drops the last one unless it was committed.
+
+        An attempt with the last one's background object reuses what that
+        background added, as peels re-solve one background.  Any other
+        extends the committed state when its background and examples extend
+        it, and starts from the empty state otherwise.
+        """
+        last = self._attempt
+        if last is not None and last.grown.background is background and last.grown.base.candidates is candidates:
+            if last.examples is examples:
+                return last
+            new = self._delta(last.grown.base.examples, examples)
+            if new is not None:
+                self._attempt = Attempt(last.grown, examples, *new)
+                return self._attempt
+        base = self._base
+        facts = new = None
+        if base.candidates is candidates:
+            facts = _added_facts(base, background)
+            if facts is not None:
+                new = self._delta(base.examples, examples)
+        if facts is None or new is None:
+            # a fresh session, another candidate list, or a state this one
+            # does not extend
+            base = _Base(candidates)
+            facts = list(background_facts(background.clauses))
+            new = examples.positives, examples.negatives
+        self._attempt = Attempt(_Grown(base, background, facts, self.cache, self._work), examples, *new)
+        return self._attempt
 
     def solved(self, background: Program, candidates: CandidateList) -> SolvedBackground:
-        """The background's solved form, with unions for every candidate group.
-
-        A background equal to the last one solved gets that form back, as
-        peeling re-solves one background.  Any other is derived from the
-        committed form when it extends that form's background, and from the
-        empty form otherwise.
-        """
-        if candidates is not self._candidates:
-            self._candidates = candidates
-            self._committed = self._last = _EMPTY
-        clauses = background.clauses
-        if clauses != self._last.clauses:
-            base = self._committed if self._committed.clauses <= clauses else _EMPTY
-            self._last = self._extend(base, clauses)
-        return self._last
-
-    def _extend(self, base: SolvedBackground, clauses: frozenset[Clause]) -> SolvedBackground:
-        """The solved form of ``clauses``, a superset of the base's background;
-        the base itself when they are equal."""
-        if clauses == base.clauses:
-            return base
-        new = list(background_facts(clauses - base.clauses))
-        # a new fact joins every base component it shares a constant with
-        touched = {base.component_of[c] for _, args in new for c in args if c in base.component_of}
-        added = _Added([*new, *(f for facts in touched for f in facts)])
-        component_of = dict(base.component_of)
-        for facts in added.store.components():
-            component = frozenset(facts)
-            for _, args in facts:
-                for c in args:
-                    component_of[c] = component
-        # every match of a group lies inside one component, so one firing over
-        # the added facts unions the group's solutions in their components;
-        # a merged component keeps every fact of the base components it
-        # absorbed, so it still derives their solutions: adding these to the
-        # base unions gives exactly the from-scratch unions
-        unions = dict(base.unions)
-        for key, sols in self.cache.table(added, self._candidates.groups.values()).items():
-            if sols:
-                unions[key] = unions.get(key, frozenset()) | sols
-        return SolvedBackground(clauses, component_of, unions)
+        """The background's solved form, with unions for every candidate
+        group: a snapshot of an attempt over the examples the session has
+        numbered, or of the open attempt when it has this background."""
+        last = self._attempt
+        if last is None or last.grown.background is not background or last.grown.base.candidates is not candidates:
+            last = self.attempt(background, self._base.examples, candidates)
+        return last.grown.form()
 
     def check(
         self, background: Program, hypothesis: Program, examples: ExampleSet
@@ -278,40 +746,37 @@ class Session:
         positives checked then stay entailed, and a negative checked then can
         enter it only as a fact inserted now.  So when the examples extend
         the ones checked then, only the inserted facts are tested against the
-        old negatives and only the new examples against the model.  Any other
-        call builds the model from scratch.  The model is never handed out.
+        old negatives and only the new examples against the model.  A union
+        over that check's background, and a join over its examples, name what
+        they add; anything else is compared as a whole.  Any other call
+        builds the model from scratch.  The model is never handed out.
         """
         kept, self._verified = self._verified, None
-        clauses = background.clauses
+        new = None  # the clauses added to the kept check's background, when it is carried
         if kept is not None and kept.hypothesis == hypothesis.clauses:
-            new = clauses - kept.clauses
-            if len(kept.clauses) + len(new) != len(clauses):
-                kept = None  # not a superset
-        else:
-            kept = None
-        if kept is not None:
+            new = _added_clauses(background, kept.background)
+        if new is not None:
             model = kept.model
             inserted = saturate(model, compile_rules(hypothesis), background_facts(new))
-            old = kept.examples
-            n_pos, n_neg = len(old.positives), len(old.negatives)
             negative_facts = kept.negative_facts
-            if examples.positives[:n_pos] != old.positives or examples.negatives[:n_neg] != old.negatives:
-                n_pos = n_neg = 0  # not an extension: check every example
+            delta = self._delta(kept.examples, examples)
+            if delta is None:  # not an extension: check every example
+                delta = examples.positives, examples.negatives
                 negative_facts = {}
         else:
             model = consequences(background, hypothesis)
             inserted = []
-            n_pos = n_neg = 0
+            delta = examples.positives, examples.negatives
             negative_facts = {}
         bad = [negative_facts[f] for f in inserted if f in negative_facts]
-        missed = [a for a in examples.positives[n_pos:] if atom_to_fact(a) not in model]
-        for a in examples.negatives[n_neg:]:
+        missed = [a for a in delta[0] if atom_to_fact(a) not in model]
+        for a in delta[1]:
             fact = atom_to_fact(a)
             if fact in model:
                 bad.append(a)
             negative_facts[fact] = a
         if not missed and not bad:
-            self._verified = _Verified(clauses, hypothesis.clauses, model, examples, negative_facts)
+            self._verified = _Verified(background, hypothesis.clauses, model, examples, negative_facts)
         return missed, bad
 
 
@@ -400,6 +865,9 @@ def _group(head: Atom, content: tuple, lits: tuple[Atom, ...]) -> Group:
     return Group(frozenset(pred for pred, _ in body), rule, key)
 
 
+# ------------------------------------------- snapshots, for tracing and tests
+
+
 @dataclass(frozen=True)
 class CoverTables:
     """Each slotted group's union of solutions in one solved background."""
@@ -409,8 +877,8 @@ class CoverTables:
 
 
 def coverage_tables(candidates: CandidateList, solved: SolvedBackground) -> CoverTables:
-    """The slotted groups' unions, read from the background's solved form for
-    these candidates (``Session.solved``)."""
+    """The slotted groups' unions, read from a solved form of the background
+    for these candidates (``Session.solved``)."""
     unions = solved.unions
     none: frozenset = frozenset()
     return CoverTables(candidates, tuple(unions.get(key, none) for *_, key in candidates.slotted))
@@ -419,14 +887,12 @@ def coverage_tables(candidates: CandidateList, solved: SolvedBackground) -> Cove
 class WantedSet:
     """Wanted ground atoms in a fixed order, numbered across head predicates.
 
-    A solve numbers its positives and then its negatives in one set, so one
-    mask per slotted group answers for both.  Bit i of a slotted group's
-    mask is set when atom i has the group's head predicate and arity and
-    its arguments at the group's head slots are among the group's
-    solutions.  A candidate derives atom i exactly when bit i is set in
-    every one of its slotted groups' masks.  ``by_head`` maps each distinct
-    ``(predicate, arity)`` to its atoms' indices and argument rows, in
-    first-occurrence order.
+    Bit i of a slotted group's mask is set when atom i has the group's head
+    predicate and arity and its arguments at the group's head slots are
+    among the group's solutions, as in a session's masks, through the same
+    projection and hit kernel.  ``by_head`` maps each distinct ``(predicate,
+    arity)`` to its atoms' indices and argument rows, in first-occurrence
+    order.
     """
 
     def __init__(self, atoms: Iterable[Atom]):
@@ -434,7 +900,7 @@ class WantedSet:
         self.by_head: dict[tuple[str, int], list[tuple[int, tuple[str, ...]]]] = {}
         for i, a in enumerate(self.atoms):
             self.by_head.setdefault((a.predicate, len(a.args)), []).append((i, tuple([t.name for t in a.args])))
-        self._projections: dict[tuple[str, int, tuple[int, ...]], dict[tuple[str, ...], int]] = {}
+        self._projections: dict[Pattern, dict[tuple[str, ...], int]] = {}
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -444,22 +910,9 @@ class WantedSet:
         pred, arity, slots, _ = slotted
         proj = self._projections.get((pred, arity, slots))
         if proj is None:
-            proj = self._projections[pred, arity, slots] = {}
-            every = len(slots) == arity  # slots ascend, so they are all of them in order
-            for i, args in self.by_head.get((pred, arity), ()):
-                key = args if every else tuple([args[s] for s in slots])
-                proj[key] = proj.get(key, 0) | 1 << i
-        # walk whichever side is smaller: the group's solutions or the
-        # distinct projections of the wanted atoms
-        out = 0
-        if len(union) < len(proj):
-            for sol in union:
-                out |= proj.get(sol, 0)
-        else:
-            for key, bits in proj.items():
-                if key in union:
-                    out |= bits
-        return out
+            rows = self.by_head.get((pred, arity), ())
+            proj = self._projections[pred, arity, slots] = _project(rows, slots, len(slots) == arity)
+        return _hits(proj, union)
 
 
 def covered_atoms(tables: CoverTables, wanted: WantedSet) -> list[int]:
@@ -477,6 +930,5 @@ def covered_atoms(tables: CoverTables, wanted: WantedSet) -> list[int]:
 
 
 def covers_any(tables: CoverTables, wanted: WantedSet) -> list[bool]:
-    """Per candidate, whether it derives any of the wanted atoms.  The solver
-    reads ``covered_atoms``; ``hornbench/tracing.py`` still wraps this name."""
+    """Per candidate, whether it derives any of the wanted atoms."""
     return [got != 0 for got in covered_atoms(tables, wanted)]

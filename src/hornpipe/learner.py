@@ -20,12 +20,14 @@ assignment is kept only if no reordering of its literals reads less
 Bodies are checked on integer literals, and atoms and clauses are built
 only for the clauses kept.
 
-solve() numbers its positives and negatives once, in one wanted set, and
-scores every candidate against it in one pass.  It keeps the clauses that
-derive no negative example and at least one positive not already a fact,
-then greedily picks clauses until all positives are covered.  Ties fall to
-fewer body literals, then canonical text.  The result is re-checked
-against the fixpoint engine before it is returned.
+solve() scores every candidate through a ``cover.Session``: each example
+has one bit there, each slotted body group one mask and each candidate the
+AND of its groups' masks, and a solve over a trial's session updates only
+what its subset adds.  It keeps the clauses that derive no negative example
+and at least one positive not already a fact, then greedily picks clauses
+until all positives are covered.  Ties fall to fewer body literals, then
+canonical text.  The result is re-checked against the fixpoint engine
+before it is returned.
 
 A solve has no deadline: the hypothesis space is finite and greedy cover
 stops at max_clauses, so every solve ends, and its outcome depends on the
@@ -217,15 +219,16 @@ def solve(
 
     Success means every positive is derivable from background plus hypothesis
     and no negative is.  A trial's session makes repeated calls over a
-    growing background cheap: each call derives the background's components
-    and group unions from the session's committed form, and the self-check
-    carries the session's last model forward.  A fresh session serves a
-    solve that passes none.
+    growing background cheap: each call is an attempt over the session's
+    committed state, which numbers, checks and scores only what the call
+    adds (``cover.Session.attempt``), and the self-check carries the
+    session's last model forward.  A fresh session serves a solve that
+    passes none.
     """
-    # positives take the low bits, negatives the rest
-    wanted = cover.WantedSet((*examples.positives, *examples.negatives))
+    if session is None:
+        session = cover.Session()
     heads, vocab = bias.head_predicates, bias.vocabulary
-    for pred, arity in wanted.by_head:
+    for pred, arity in session.heads(examples):
         if pred not in heads or vocab[pred] != arity:
             raise ValueError(f"example predicate {pred}/{arity} is not a declared head predicate")
     candidates = candidate_list(bias)
@@ -234,22 +237,17 @@ def solve(
     def done(outcome: str, hyp: Program | None, safe: int = 0) -> SolverResult:
         return SolverResult(outcome, hyp, replace(stats, candidates_negative_safe=safe))
 
-    if session is None:
-        session = cover.Session()
-    solved = session.solved(background, candidates)
-    positives = (1 << len(examples.positives)) - 1
-    negatives = (1 << len(wanted)) - 1 - positives
-    facts = solved.facts_in(wanted)
+    attempt = session.attempt(background, examples, candidates)
+    negatives, facts = attempt.negatives, attempt.facts
     # a negative already present as a fact can never be separated
     if facts & negatives:
         return done("no_hypothesis", None)
-    uncovered = positives & ~facts
+    uncovered = attempt.positives & ~facts
     if not uncovered:
         return done("hypothesis", Program.of(()))
 
-    derived = cover.covered_atoms(cover.coverage_tables(candidates, solved), wanted)
-    safe = sum(1 for got in derived if not got & negatives)
-    usable = [(cand, got) for cand, got in zip(candidates, derived) if got & uncovered and not got & negatives]
+    safe, usable = attempt.cover()
+    usable = [(cand, got) for cand, got in usable if got & uncovered]
 
     chosen: list[Clause] = []
     while uncovered:

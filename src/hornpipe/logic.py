@@ -335,10 +335,41 @@ class Program:
         return [c for c in self._sorted if not c.is_fact()]
 
     def union(self, other: "Program") -> "Program":
-        return Program(self.clauses | other.clauses)
+        """Both programs' clauses.  The clause set is built on first read, so
+        a chain of unions (an aggregation trial's growing background) costs
+        nothing per link; the result's ``base`` and ``added`` are ``self``
+        and ``other``, which tells a reader holding ``base`` what was added."""
+        return _Union(self, other)
 
     def __str__(self) -> str:
         return print_program(self)
+
+
+class _Union(Program):
+    """``Program.union``: equal to, and hashed as, a program of both clause sets."""
+
+    def __init__(self, base: Program, added: Program):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "added", added)
+
+    @cached_property
+    def clauses(self) -> frozenset[Clause]:  # type: ignore[override]
+        # walk down to the first link already built, so that a long chain is
+        # built once and without recursion
+        parts = []
+        link: Program = self
+        while isinstance(link, _Union) and "clauses" not in link.__dict__:
+            parts.append(link.added.clauses)
+            link = link.base
+        return link.clauses.union(*parts)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Program):
+            return self.clauses == other.clauses
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.clauses,))
 
 
 def print_program(program: Program) -> str:

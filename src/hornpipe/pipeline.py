@@ -8,21 +8,23 @@ evaluation, runs in-process; ``PipelineConfig.jobs`` is still accepted and
 written to the report's config record, but nothing reads it.
 Stage 3 (aggregation): grow a global training set by re-solving as each
 subset joins.  Each trial runs in one ``cover.Session``, which holds the
-trial's committed examples and labels, the solved form of its committed
-background and its last consistent self-check's model, and which the trial
-commits when a step is accepted.  Each solve equals a from-scratch one,
-while the background's components (which also answer fact membership) and
-group unions carry over from the committed form.  A joining subset's
-examples, or those left after peeling, are checked against the committed
-labels alone.  ``run_pipeline`` passes one ``cover.CoverCache`` through
-stages 2 and 3, so a subset whose constants are new to the state adds
-exactly the facts its own check tabled, and joining it fires no group
-again.  A subset that breaks solvability has its own examples peeled off
-one at a time (negatives first) before being dropped entirely.  A subset
-taken whole and one cut back advance the state on the same path; only the
-logged action and removed examples differ.  If the chronological pass
-drops too many subsets, seeded shuffled passes retry, keeping the best
-trial.
+trial's committed examples and labels, the scoring of its committed
+background and examples, and its last consistent self-check's model, and
+which the trial commits when a step is accepted.  A step tells the session
+what it adds: its background is a ``Program.union`` of the state's and the
+subset's, built lazily, which names the subset's facts, and its examples
+come from ``Session.join``, which looks up only the joining atoms.  So a
+step numbers, checks and scores what the subset adds, not the whole state,
+and each solve still equals a from-scratch one.  ``run_pipeline`` passes
+one ``cover.CoverCache`` through stages 2 and 3, so a subset whose
+constants are new to the state adds exactly the facts its own check
+tabled, and joining it fires no group again.  A subset that breaks
+solvability has its own examples peeled off one at a time (negatives
+first) before being dropped entirely; a peel or a drop leaves the
+committed state as it was.  A subset taken whole and one cut back advance
+the state on the same path; only the logged action and removed examples
+differ.  If the chronological pass drops too many subsets, seeded shuffled
+passes retry, keeping the best trial.
 Stage 4 (pruning): drop accepted rules whose standalone support on the
 aggregated positives falls below a fraction of the maximum support.
 
@@ -130,23 +132,31 @@ def _check_bundle(bundle: RawBundle, bias: BiasSpec) -> tuple[SubsetInstance | N
     if neg_part is not None and neg_part.positives:
         reasons.append("positive example in nominal-derived bundle")
 
-    facts = [c.head for bk in (violation_bk, nominal_bk) if bk is not None for c in bk]
+    parts = [bk for bk in (violation_bk, nominal_bk) if bk is not None]
     example_atoms = [
         a for part in (pos_part, neg_part) if part is not None for a in (*part.positives, *part.negatives)
     ]
     vocab, heads = bias.vocabulary, bias.head_predicates
-    flagged = [
-        f"unknown predicate {a.predicate}/{a.arity}"
-        for a in (*facts, *example_atoms)
-        if vocab.get(a.predicate) != a.arity
-    ]
-    flagged += [
-        f"example predicate is not a declared head predicate: {a.predicate}/{a.arity}"
-        for a in example_atoms
-        if a.predicate not in heads and vocab.get(a.predicate) == a.arity
-    ]
-    flagged += _type_conflicts((*facts, *example_atoms), bias.types_by_predicate)
-    reasons.extend(dict.fromkeys(flagged))
+
+    def flag(facts: list[Atom]) -> list[str]:
+        flagged = [
+            f"unknown predicate {a.predicate}/{a.arity}"
+            for a in (*facts, *example_atoms)
+            if vocab.get(a.predicate) != a.arity
+        ]
+        flagged += [
+            f"example predicate is not a declared head predicate: {a.predicate}/{a.arity}"
+            for a in example_atoms
+            if a.predicate not in heads and vocab.get(a.predicate) == a.arity
+        ]
+        flagged += _type_conflicts((*facts, *example_atoms), bias.types_by_predicate)
+        return flagged
+
+    # whether anything is flagged does not depend on the order the facts are
+    # read in, so a clean bundle is checked unordered; the reasons are listed
+    # in each part's clause text order
+    if flag([c.head for bk in parts for c in bk.clauses]):
+        reasons.extend(dict.fromkeys(flag([c.head for bk in parts for c in bk])))
 
     if pos_part is None or neg_part is None:
         return None, reasons
@@ -159,7 +169,9 @@ def _check_bundle(bundle: RawBundle, bias: BiasSpec) -> tuple[SubsetInstance | N
         reasons.append("no positive example")
     if reasons:
         return None, reasons
-    return SubsetInstance(bundle.id, bundle.timestamp, violation_bk.union(nominal_bk), examples), []
+    # a subset check reads every fact at once, so the union is built here
+    background = Program(violation_bk.clauses | nominal_bk.clauses)
+    return SubsetInstance(bundle.id, bundle.timestamp, background, examples), []
 
 
 def validate_bundle(source: BundleSource, bias: BiasSpec, attempts: int) -> ValidationOutcome:

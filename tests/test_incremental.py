@@ -1,17 +1,22 @@
 """Aggregation steps that cost in proportion to the joining subset.
 
 The solver's self-check carries its least model forward in a trial's
-``Session`` while the hypothesis holds and the background only grows, and
-the session checks a joining subset's examples against its committed
-labels.  Both are checked here against from-scratch references: the naive
-model oracle, ``consequences`` and ``ExampleSet.of``.
+``Session`` while the hypothesis holds and the background only grows, the
+session checks a joining subset's examples against its committed labels,
+and it scores each attempt from what the attempt adds to its committed
+state.  All three are checked here against from-scratch references: the
+naive model oracle, ``consequences``, ``ExampleSet.of`` and a solve in a
+fresh session.  Counts of the work done bound what a step costs.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from pathlib import Path
+
+import pytest
 
 from hornpipe import entailment, learner
 from hornpipe.cover import Session
@@ -203,6 +208,26 @@ def test_session_joins_exactly_as_example_set_of():
     assert clashes > 300 and duplicates > 300 and commits > 300
 
 
+def test_commit_refuses_examples_that_do_not_extend_the_committed_ones():
+    """Committed labels are never rewritten: a commit whose examples drop,
+    reorder or relabel a committed atom raises and changes nothing."""
+    session = Session()
+    session.commit(session.join([atom("h", "c", "d")], [atom("h", "b", "a")]))
+    labels = dict(session.labels)
+    committed = session.examples
+    for bad in (
+        # relabels h(b,a) and drops it from the negatives
+        ExampleSet.of([atom("h", "c", "d"), atom("h", "b", "a")], [atom("h", "x", "y")]),
+        ExampleSet.of([atom("h", "x", "y"), atom("h", "c", "d")], [atom("h", "b", "a")]),
+        ExampleSet(),
+        # keeps the order but labels a committed negative positive too
+        committed.extended((atom("h", "b", "a"),), ()),
+    ):
+        with pytest.raises(RuntimeError, match="do not extend the committed examples"):
+            session.commit(bad)
+        assert session.labels == labels and session.examples is committed
+
+
 # --- work per aggregation step -------------------------------------------------
 
 PER_STEP = 2  # fact insertions allowed per fact or example the joining subset brings
@@ -252,3 +277,120 @@ def test_self_check_inserts_in_proportion_to_the_joining_subset(monkeypatch):
     assert held[-1][2] > 20 * held[-1][1]  # the state dwarfs the subset
     for i, (adds, size, facts) in enumerate(held):
         assert adds <= PER_STEP * size, f"step {i}: {adds} inserts for a subset of {size} over {facts} facts"
+
+
+# --- attempts over a session ---------------------------------------------------
+
+CHAIN_BIASES = (
+    parse_bias("head_pred(h,2).\nbody_pred(p,2).\nbody_pred(q,2).\nbody_pred(r,1).\nmax_vars(3).\nmax_body(2).\n"),
+    parse_bias("head_pred(h,2).\nbody_pred(p,2).\nbody_pred(r,1).\nmax_vars(3).\nmax_body(2).\nmax_clauses(2).\n"),
+)
+
+
+def _random_facts(rng: random.Random, consts: list[str]) -> Program:
+    """A few facts over ``consts``, now and then one of the head predicate,
+    which can make an example a fact."""
+    facts = []
+    for _ in range(rng.randint(1, 4)):
+        pred, arity = rng.choice((("p", 2), ("q", 2), ("r", 1), ("p", 2), ("q", 2), ("h", 2)))
+        facts.append(Atom(pred, tuple(const(rng.choice(consts)) for _ in range(arity))))
+    return Program.of(facts)
+
+
+def _attempt_chain(seed: int, counts: dict) -> None:
+    """Random joins, whole and peeled, over one session; each is committed
+    or discarded, and now and then the chain restarts or switches to the
+    other candidate list.  Every attempt's verdict, hypothesis and
+    ``candidates_negative_safe`` must equal a fresh solve's."""
+    rng = random.Random(seed)
+    consts = [f"c{i}" for i in range(rng.randint(3, 6))]
+    bias = rng.choice(CHAIN_BIASES)
+    session, state = Session(), Program()
+    for _ in range(rng.randint(4, 10)):
+        r = rng.random()
+        if r < 0.08:
+            session, state = Session(session.cache), Program()
+            counts["restarts"] += 1
+        elif r < 0.16:
+            bias = CHAIN_BIASES[bias is CHAIN_BIASES[0]]
+            counts["switches"] += 1
+        subset = _random_facts(rng, consts)
+        background = state.union(subset)
+        if rng.random() < 0.2:
+            background = Program(background.clauses)  # not told what it adds
+        pos = [atom("h", rng.choice(consts), rng.choice(consts)) for _ in range(rng.randint(1, 3))]
+        neg = [atom("h", rng.choice(consts), rng.choice(consts)) for _ in range(rng.randint(0, 3))]
+        examples = None
+        while True:
+            joined = session.join(pos, neg)
+            if joined is not None:
+                examples = joined
+                got = learner.solve(background, joined, bias, session)
+                want = learner.solve(background, joined, bias)
+                case = f"seed {seed}\nB={background}\nE={joined}"
+                assert got.outcome == want.outcome, case
+                assert str(got.hypothesis) == str(want.hypothesis), case
+                assert got.stats.candidates_negative_safe == want.stats.candidates_negative_safe, case
+                counts["attempts"] += 1
+                counts["no_hypothesis"] += got.outcome == "no_hypothesis"
+            if (not neg and len(pos) < 2) or rng.random() < 0.5:
+                break
+            (neg or pos).pop()  # peel, negatives first
+            counts["peels"] += 1
+        if examples is not None and rng.random() < 0.7:
+            session.commit(examples)
+            state = background
+            counts["commits"] += 1
+        else:
+            counts["discards"] += 1
+
+
+def test_session_attempts_equal_fresh_solves_along_random_chains():
+    """Scoring carried in a session equals scoring from scratch along
+    chains of joins, peels, discards, restarts and candidate-list changes,
+    over a few shared constants, so new facts reach committed examples and
+    can make a committed negative a fact."""
+    counts = collections.Counter()
+    for seed in range(250):
+        _attempt_chain(seed, counts)
+    assert counts["attempts"] > 1500 and counts["no_hypothesis"] > 100, counts
+    for what in ("peels", "commits", "discards", "restarts", "switches"):
+        assert counts[what] > 50, counts
+
+
+PER_ATTEMPT = 6  # scoring work allowed per fact, example and slotted group an attempt adds
+
+
+def test_scoring_work_per_attempt_tracks_what_it_adds(monkeypatch):
+    """Along a chronological trial, each solve's scoring work (atoms
+    numbered, projection entries written, solutions probed) stays within a
+    fixed multiple of the facts and examples it adds plus the number of
+    slotted groups, however large the committed state has grown.  The
+    named exceptions are rebuilds from the empty state: a trial's first
+    solve and a candidate-list change, which this trial never makes."""
+    planted = parse_rules((DATA / "planted_rules.rules").read_text(encoding="utf-8"))
+    corpus = generate_corpus(planted, 60, 0.2, seed=0)
+    config = PipelineConfig(max_retries=1)
+    sources = [s.bundle_source() for s in corpus.subsets]
+    _, reliable, _ = run_checks(sources, corpus.bias, config)
+    groups = len(learner.candidate_list(corpus.bias).slotted)
+
+    attempts = []  # (work, facts and examples added, examples, first)
+    solve = learner.solve
+
+    def counting_solve(background, examples, bias, session=None):
+        committed, before = session.examples, session.work
+        result = solve(background, examples, bias, session)
+        added = len(background.added) + len(examples) - len(committed)
+        attempts.append((session.work - before, added, len(examples), not committed.positives))
+        return result
+
+    monkeypatch.setattr(learner, "solve", counting_solve)
+    aggregate(reliable, corpus.bias, config)
+
+    carried = [(work, added, size) for work, added, size, first in attempts if not first]
+    assert len(carried) >= 40
+    assert carried[-1][2] > 10 * carried[-1][1]  # the state dwarfs what the attempt adds
+    for i, (work, added, size) in enumerate(carried):
+        bound = PER_ATTEMPT * (added + groups)
+        assert work <= bound, f"attempt {i}: work {work} over {bound}, adding {added} to {size} examples"

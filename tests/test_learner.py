@@ -681,43 +681,61 @@ def test_cover_cache_shared_across_biases():
 
 
 def test_solve_scores_each_slotted_group_once(monkeypatch):
-    """One solve numbers its examples once, in one wanted set, and computes
-    at most one hit mask per distinct slotted group with solutions: never
-    one per candidate that carries the group, nor one per side."""
-    built, computed = [], []
-    real_init, real_mask = cover.WantedSet.__init__, cover.WantedSet.mask
+    """An attempt updates at most one mask per slotted group whose union
+    grew or whose head pattern has new atoms: never one per candidate that
+    carries the group, nor one per side.  An attempt that adds nothing
+    updates none, and no solve builds a wanted set."""
+    built, updates = [], []
+    real_init, real_mask = cover.WantedSet.__init__, cover._mask
 
     def counting_init(self, atoms):
         built.append(self)
         real_init(self, atoms)
 
-    def counting_mask(self, slotted, union):
-        computed.append(slotted)
-        return real_mask(self, slotted, union)
+    def counting_mask(*args):
+        updates.append(args)
+        return real_mask(*args)
 
     monkeypatch.setattr(cover.WantedSet, "__init__", counting_init)
-    monkeypatch.setattr(cover.WantedSet, "mask", counting_mask)
+    monkeypatch.setattr(cover, "_mask", counting_mask)
+    candidates = candidate_list(SMALL_BIAS)
+    carried = [candidates.slotted[i] for uses in candidates.uses for i in uses]
+
+    def with_solutions(background: Program) -> set:
+        unions = Session().solved(background, candidates).unions
+        return {s for s in candidates.slotted if s[3] in unions}
+
     background = parse_facts("p(a,b).\np(b,c).\nq(b,a).\nq(c,c).\nr(a).\nr(c).\n")
     ex = parse_examples("pos(h(a,b)).\npos(h(b,c)).\nneg(h(b,a)).\nneg(h(a,c)).\n")
-    res = solve(background, ex, SMALL_BIAS)
+    session = Session()
+    res = solve(background, ex, SMALL_BIAS, session)
     assert res.outcome == "hypothesis"
-
-    candidates = candidate_list(SMALL_BIAS)
-    unions = Session().solved(background, candidates).unions
-    with_solutions = {s for s in candidates.slotted if s[3] in unions}
-    carried = [candidates.slotted[i] for uses in candidates.uses for i in uses]
+    first = with_solutions(background)
     # many candidates share a slotted group with solutions, so scoring per
-    # candidate would compute more masks than this test allows
-    assert len([s for s in carried if s in with_solutions]) > len(with_solutions)
-    assert len(built) == 1
-    assert computed and len(computed) == len(set(computed))
-    assert set(computed) <= with_solutions
+    # candidate would update more masks than this test allows
+    assert len([s for s in carried if s in first]) > len(first)
+    assert 0 < len(updates) <= len(first)
+
+    session.commit(ex)
+    updates.clear()
+    assert solve(background, ex, SMALL_BIAS, session) == res
+    assert updates == []
+
+    # new facts that grow some unions, and new atoms of the one head pattern
+    grown = background.union(parse_facts("p(c,a).\nr(b).\n"))
+    joined = session.join([atom("h", "c", "a")], [atom("h", "c", "b")])
+    fresh = solve(grown, joined, SMALL_BIAS)
+    updates.clear()
+    assert solve(grown, joined, SMALL_BIAS, session) == fresh
+    assert 0 < len(updates) <= len(with_solutions(grown))
+    assert built == []
 
     complete = [
-        c for c, uses in zip(candidates, candidates.uses) if all(candidates.slotted[i][3] in unions for i in uses)
+        c for c, uses in zip(candidates, candidates.uses) if all(candidates.slotted[i] in first for i in uses)
     ]
     safe = [c for c in complete if not coverage(background, Program.of([c.clause]), ex).covered_neg]
     # a candidate with a group that has no solutions derives nothing
+    res = solve(background, ex, SMALL_BIAS)
     assert res.stats.candidates_negative_safe == len(safe) + len(candidates) - len(complete)
 
 

@@ -201,6 +201,21 @@ def test_type_conflict_rejected():
     assert any("type conflict: constant a" in r for r in out.reasons)
 
 
+def test_flagged_reasons_keep_the_clause_text_order():
+    """Unknown predicates and type conflicts are reported in the order of
+    each facts part's clause texts, violation part first, whatever order the
+    facts were read in: ``c`` is first seen as an agent in ``p(b,c)``, which
+    sorts before ``r(c)``."""
+    bundle = _bundle(vfacts="zeta(a).\nr(c).\np(b,c).\nalpha(b).\n", nfacts="r(b).\n")
+    out = validate_bundle(_source({1: bundle}), TYPED_BIAS, attempts=1)
+    assert out.reasons == (
+        "attempt 1: unknown predicate alpha/1",
+        "attempt 1: unknown predicate zeta/1",
+        "attempt 1: type conflict: constant c used as agent and runway",
+        "attempt 1: type conflict: constant b used as agent and runway",
+    )
+
+
 def test_contradictory_labels_rejected():
     out = validate_bundle(
         _source({1: _bundle(nex="neg(goal(a,b)).\n")}), TEST_BIAS, attempts=1
