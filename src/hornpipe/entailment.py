@@ -12,14 +12,19 @@ and reused by every later call on an equal rule: after the seed, the
 literal with the most bound or constant arguments goes next, ties to body
 position.  A literal is matched by probing ``FactStore``'s any-position
 index on its first bound or constant argument, or by a scan when it has
-none.
+none.  A plan runs as a generated kernel: one Python loop per literal,
+with each variable and constant a local, its tests inline, and the head
+added in the innermost loop.  Kernels are kept per plan shape (slots,
+arities and tests, but no predicate or constant, which are passed in), so
+rules that differ only in names share one.
 
-``fire`` runs one compiled rule once over a store.  It is the only join
-path: ``consequences`` calls it for every round, and ``cover`` calls it to
-solve candidate body groups per component.  ``saturate`` is the only
-semi-naive loop: ``consequences`` runs it from its naive first round, and
-``cover.Session`` runs it from the facts a grown background adds to the
-model it keeps for the solver's self-check.
+``fire`` runs one compiled rule once over a store, through its kernel.
+It is the only join path: ``consequences`` calls it for every round,
+``rule_supports`` for each rule, and ``cover`` to solve candidate body
+groups per component.  ``saturate`` is the only semi-naive loop:
+``consequences`` runs it from its naive first round, and ``cover.Session``
+runs it from the facts a grown background adds to the model it keeps for
+the solver's self-check.
 
 Everything downstream (example coverage, rule support, evaluation) is
 defined in terms of membership in that model.
@@ -30,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .logic import Atom, Clause, Program, Term, connected_groups, const
 
@@ -153,6 +158,7 @@ class FactStore:
 
 CompiledLit = tuple[str, tuple[int, ...]]  # (predicate, env slot per argument)
 Pairs = tuple[tuple[int, int], ...]  # (argument position, env slot)
+Kernel = Callable[..., None]
 
 
 class Step(NamedTuple):
@@ -172,12 +178,22 @@ class Step(NamedTuple):
     post: Pairs  # repeats of a new variable inside the literal
 
 
+class Plan(NamedTuple):
+    """A body's join order, the kernel that runs it, and the predicate of
+    each step, which the kernel is passed."""
+
+    steps: tuple[Step, ...]
+    kernel: Kernel
+    preds: tuple[str, ...]
+
+
 class CompiledRule:
     """A rule over env slots: variables first, then one pre-filled slot per constant.
 
     A constant is thus an argument bound before the body is entered, and
     every test a join makes compares a row value with an env slot.  Join
-    plans depend on the rule alone, so each is made once and kept here.
+    plans depend on the rule alone, so each is made once and kept here with
+    its kernel.
     """
 
     __slots__ = ("head_pred", "head", "body", "env", "_plans")
@@ -196,18 +212,19 @@ class CompiledRule:
         )
         # initial env: None for variables, names for constants
         self.env = (None,) * n_vars + tuple(t.name for t in list(slots)[n_vars:])
-        self._plans: dict[int | None, tuple[Step, ...]] = {}
+        self._plans: dict[int | None, Plan] = {}
 
-    def plan(self, seed: int | None) -> tuple[Step, ...]:
+    def plan(self, seed: int | None) -> Plan:
         """Join order for the body, seed literal first when there is one.
 
         The seed literal takes its rows from the delta, so it is matched by
         scanning them.  Every other literal goes greedily: the one with the
-        most bound or constant arguments next, ties to body position.
+        most bound or constant arguments next, ties to body position.  Made
+        at the first call for ``seed``, with the kernel of its shape.
         """
-        steps = self._plans.get(seed)
-        if steps is not None:
-            return steps
+        plan = self._plans.get(seed)
+        if plan is not None:
+            return plan
         bound = {i for i, v in enumerate(self.env) if v is not None}
         todo = list(range(len(self.body)))
         order = []
@@ -218,8 +235,10 @@ class CompiledRule:
             nxt = max(todo, key=lambda i: (sum(s in bound for s in self.body[i][1]), -i))
             todo.remove(nxt)
             order.append(_step(self.body[nxt], bound, probe=True))
-        steps = self._plans[seed] = tuple(order)
-        return steps
+        steps = tuple(order)
+        shape = (len(self.env), self.head, seed is not None, tuple(s[1:] for s in steps))
+        plan = self._plans[seed] = Plan(steps, _kernel(shape), tuple(s.pred for s in steps))
+        return plan
 
 
 @lru_cache(maxsize=4096)
@@ -251,48 +270,91 @@ def _step(lit: CompiledLit, bound: set[int], probe: bool) -> Step:
     return Step(pred, len(args), probe_pos, probe_slot, tuple(pre), tuple(binds), tuple(post))
 
 
-Index = dict[str, list[Row]]
+# --- join kernels ------------------------------------------------------------------
+
+# Kernels by plan shape: the env width, the head slots, whether the first
+# step is seeded, and every step but its predicate.  Rules that differ only
+# in predicates and constants share one.
+_KERNELS: dict[tuple, Kernel] = {}
+
+# Steps per generated function: each step is a loop, and CPython refuses
+# more than 20 statically nested blocks in one function.
+_NEST = 16
 
 
-def _rows(step: Step, index: Index | None, env: list[str | None], store: FactStore) -> Iterable[Row]:
-    if index is not None:
-        return index.get(env[step.probe_slot], ())  # type: ignore[index]
-    return [row for row in store.by_pred.get(step.pred, ()) if len(row) == step.arity]
+def _kernel(shape: tuple) -> Kernel:
+    kernel = _KERNELS.get(shape)
+    if kernel is None:
+        kernel = _KERNELS[shape] = _generate(*shape)
+    return kernel
 
 
-def _join(
-    steps: tuple[Step, ...],
-    indexes: tuple[Index | None, ...],
-    k: int,
-    rows: Iterable[Row],
-    env: list[str | None],
-    store: FactStore,
-    rule: CompiledRule,
-    out: set[Fact],
-) -> None:
-    """Match ``rows`` against step k, recurse on the rest, and add each head to ``out``.
+def _display(names: list[str]) -> str:
+    """A tuple display; a single name keeps its comma."""
+    return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
 
-    One env serves the whole search: a step overwrites its own slots for
-    every row, and later steps read only slots bound before them.
+
+def _generate(width: int, head: tuple[int, ...], seeded: bool, steps: tuple[tuple, ...]) -> Kernel:
+    """The join of a plan shape as nested loops, one per step.
+
+    ``k0(add, hp, env, preds, by_pred, index, rows)`` unpacks ``env`` into
+    locals ``v0``, ``v1``, ... (one per env slot) and ``preds`` into ``p0``,
+    ``p1``, ... (one per step), and takes each step's rows: ``rows`` for a
+    seeded first step, the ``get`` of the ``index`` a step probes, or the
+    rows of its predicate in ``by_pred`` for a scan, which skips the rows of
+    other arities.  Each loop unpacks a row into the slots it binds and into
+    temporaries for the arguments it tests, and skips the row unless every
+    tested argument equals its slot; the innermost adds ``(hp, head)``
+    through ``add``.  A plan deeper than ``_NEST`` steps goes on in ``k1``,
+    called from the innermost loop with the env so far and the steps' rows,
+    and so on.  The source holds only slot numbers, arities and positions.
     """
-    _, _, _, _, pre, binds, post = steps[k]
-    last = k + 1 == len(steps)
-    for row in rows:
-        for pos, s in pre:
-            if row[pos] != env[s]:
-                break
+    n = len(steps)
+    env = _display([f"v{i}" for i in range(width)])
+    sources = _display([f"s{k}" for k in range(n)])
+    lines = [
+        "def k0(add, hp, env, preds, by_pred, index, rows):",
+        f" {env} = env",
+        f" {_display([f'p{k}' for k in range(n)])} = preds",
+    ]
+    for k, (arity, probe_pos, *_) in enumerate(steps):
+        if k == 0 and seeded:
+            lines.append(f" s{k} = rows")
+        elif probe_pos is None:
+            lines.append(f" s{k} = by_pred.get(p{k}, ())")
         else:
+            lines.append(f" s{k} = index(p{k}, {arity}, {probe_pos}).get")
+    for j, start in enumerate(range(0, n, _NEST)):
+        if j:
+            lines += [f"def k{j}(add, hp, env, src):", f" {env} = env", f" {sources} = src"]
+        indent = " "
+        for k in range(start, min(start + _NEST, n)):
+            arity, probe_pos, probe_slot, pre, binds, post = steps[k]
+            targets = ["_"] * arity
             for pos, s in binds:
-                env[s] = row[pos]
-            for pos, s in post:
-                if row[pos] != env[s]:
-                    break
+                targets[pos] = f"v{s}"
+            tests = []
+            for pos, s in pre + post:
+                targets[pos] = f"t{pos}"
+                tests.append(f"t{pos} != v{s}")
+            if probe_pos is not None:
+                lines.append(f"{indent}for {_display(targets)} in s{k}(v{probe_slot}, ()):")
+            elif k == 0 and seeded:
+                lines.append(f"{indent}for {_display(targets)} in s{k}:")
             else:
-                if last:
-                    out.add((rule.head_pred, tuple([env[s] for s in rule.head])))  # type: ignore[misc]
-                else:
-                    nxt = _rows(steps[k + 1], indexes[k + 1], env, store)
-                    _join(steps, indexes, k + 1, nxt, env, store, rule, out)
+                lines.append(f"{indent}for r in s{k}:")
+                lines.append(f"{indent} if len(r) != {arity}: continue")
+                lines.append(f"{indent} {_display(targets)} = r")
+            indent += " "
+            if tests:
+                lines.append(f"{indent}if {' or '.join(tests)}: continue")
+        if start + _NEST < n:
+            lines.append(f"{indent}k{j + 1}(add, hp, {env}, {sources})")
+        else:
+            lines.append(f"{indent}add((hp, {_display([f'v{s}' for s in head])}))")
+    namespace: dict[str, Kernel] = {}
+    exec(compile("\n".join(lines), "<join kernel>", "exec"), namespace)
+    return namespace["k0"]
 
 
 def fire(
@@ -306,16 +368,11 @@ def fire(
 
     With no seed the rule is fired naively: every body literal takes its
     rows from the store.  With a seed, body literal ``seed`` takes ``rows``
-    instead (the semi-naive case).
+    instead (the semi-naive case), which must then be given.  The store
+    must not change while the rule fires.
     """
-    steps = rule.plan(seed)
-    indexes = tuple(
-        None if s.probe_pos is None else store.index(s.pred, s.arity, s.probe_pos) for s in steps
-    )
-    env = list(rule.env)
-    if rows is None:
-        rows = _rows(steps[0], indexes[0], env, store)
-    _join(steps, indexes, 0, rows, env, store, rule, out)
+    _, kernel, preds = rule.plan(seed)
+    kernel(out.add, rule.head_pred, rule.env, preds, store.by_pred, store.index, rows)
 
 
 def saturate(store: FactStore, rules: list[CompiledRule], facts: Iterable[Fact]) -> list[Fact]:

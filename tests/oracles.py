@@ -5,7 +5,10 @@ enumerates every ground substitution over the observed constants and
 iterates to fixpoint, the greedy-cover oracle scores one candidate at a
 time against every example the same way, the hypothesis-space oracle
 canonicalises every raw body and dedupes by text, and the instance
-generator uses only the public clause types.  The cursor parser at the end
+generator uses only the public clause types.  The one exception is
+``reference_fire``: the recursive, tuple-at-a-time join that the generated
+join kernels replaced, kept verbatim over the engine's own plans as the
+reference for the kernels.  The cursor parser at the end
 is a verbatim copy of the tokenizer-and-cursor ``parse_facts`` and
 ``parse_examples`` that read every line before the one-match reader of
 ground lines existed; it is the reference the parser differential compares
@@ -17,8 +20,9 @@ from __future__ import annotations
 import random
 import re
 from itertools import combinations_with_replacement, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
+from hornpipe.entailment import CompiledRule, Fact, FactStore, Row, Step
 from hornpipe.logic import PRED_RE, Atom, BiasSpec, Clause, ExampleSet, PredDecl, Program, Term, canonical, const, term, var
 from hornpipe.parsing import ParseError
 
@@ -54,6 +58,68 @@ def naive_consequences(background: Program, hypothesis: Program) -> set[Atom]:
                         facts.add(h)
                         changed = True
     return facts
+
+
+Index = dict[str, list[Row]]
+
+
+def reference_fire(
+    rule: CompiledRule,
+    store: FactStore,
+    out: set[Fact],
+    seed: int | None = None,
+    rows: Iterable[Row] | None = None,
+) -> None:
+    """``entailment.fire`` as one recursive interpreter over the rule's plan."""
+    steps = rule.plan(seed).steps
+    indexes = tuple(
+        None if s.probe_pos is None else store.index(s.pred, s.arity, s.probe_pos) for s in steps
+    )
+    env = list(rule.env)
+    if rows is None:
+        rows = _rows(steps[0], indexes[0], env, store)
+    _join(steps, indexes, 0, rows, env, store, rule, out)
+
+
+def _rows(step: Step, index: Index | None, env: list[str | None], store: FactStore) -> Iterable[Row]:
+    if index is not None:
+        return index.get(env[step.probe_slot], ())  # type: ignore[index]
+    return [row for row in store.by_pred.get(step.pred, ()) if len(row) == step.arity]
+
+
+def _join(
+    steps: tuple[Step, ...],
+    indexes: tuple[Index | None, ...],
+    k: int,
+    rows: Iterable[Row],
+    env: list[str | None],
+    store: FactStore,
+    rule: CompiledRule,
+    out: set[Fact],
+) -> None:
+    """Match ``rows`` against step k, recurse on the rest, and add each head to ``out``.
+
+    One env serves the whole search: a step overwrites its own slots for
+    every row, and later steps read only slots bound before them.
+    """
+    _, _, _, _, pre, binds, post = steps[k]
+    last = k + 1 == len(steps)
+    for row in rows:
+        for pos, s in pre:
+            if row[pos] != env[s]:
+                break
+        else:
+            for pos, s in binds:
+                env[s] = row[pos]
+            for pos, s in post:
+                if row[pos] != env[s]:
+                    break
+            else:
+                if last:
+                    out.add((rule.head_pred, tuple([env[s] for s in rule.head])))  # type: ignore[misc]
+                else:
+                    nxt = _rows(steps[k + 1], indexes[k + 1], env, store)
+                    _join(steps, indexes, k + 1, nxt, env, store, rule, out)
 
 
 def greedy_cover(

@@ -8,19 +8,23 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hornpipe import entailment
 from hornpipe.entailment import (
+    CompiledRule,
     FactStore,
     atom_to_fact,
     compile_clause,
     consequences,
     coverage,
+    fire,
     rule_support,
 )
+from hornpipe.learner import candidate_list
 from hornpipe.logic import Atom, Clause, ExampleSet, Program, atom, const, var
 from hornpipe.parsing import parse_clause, parse_facts, parse_examples, parse_rules
-from hornpipe.synthgen import generate_scenarios
+from hornpipe.synthgen import generate_corpus, generate_scenarios
 
-from oracles import naive_consequences, random_instance
+from oracles import naive_consequences, random_instance, reference_fire
 
 
 def prog(*lines: str) -> Program:
@@ -193,7 +197,7 @@ def test_join_probes_a_bound_second_argument():
     assert not model.has_atom(atom("collision", "h3", "l1"))
 
     # the clause as written, not in the canonical body order Program.of gives it
-    steps = compile_clause(parse_clause(text)).plan(None)
+    steps = compile_clause(parse_clause(text)).plan(None).steps
     assert [s.pred for s in steps] == ["landing_runway", "same_runway", "holding_on_runway"]
     same = steps[1]
     assert same.probe_pos == 1 and same.probe_slot == 2  # V2
@@ -269,6 +273,139 @@ def test_merged_world_model_is_union_of_scene_models(rules_file):
     model = consequences(world, h)
     assert model.atoms() == want
     assert any(a.predicate == "collision" for a in want)
+
+
+# --- generated join kernels ----------------------------------------------------------
+
+def _renamed(c: Clause, prefix: str) -> Clause:
+    def ren(a: Atom) -> Atom:
+        return Atom(prefix + a.predicate, a.args)
+
+    return Clause(ren(c.head), tuple(ren(x) for x in c.body))
+
+
+def _fired(rule: CompiledRule, store: FactStore, seed=None, rows=None) -> tuple[set, set]:
+    got: set = set()
+    want: set = set()
+    fire(rule, store, got, seed, rows)
+    reference_fire(rule, store, want, seed, rows)
+    return got, want
+
+
+def test_fire_matches_the_recursive_reference():
+    """Each rule fired naively and from each body literal, against the
+    recursive join, on random rules with constants and repeated variables,
+    half of them with one predicate name at two arities.  Each rule also
+    fires as a twin over renamed predicates whose rows differ: the same
+    shape, so the same kernel."""
+    rng = random.Random(2525)
+    derived = seeded = mixed = 0
+    for _ in range(300):
+        b, h = random_instance(rng, max_body=4, max_facts=25, arities=(1, 3))
+        if rng.random() < 0.5:
+            b, h = _one_name(b), _one_name(h)
+        store = FactStore.from_program(b)
+        for pred, rows in list(store.by_pred.items()):
+            mixed += len({len(r) for r in rows}) == 2
+            consts = [args[0] for args in rows]
+            for row in rows:
+                if rng.random() < 0.7:
+                    store.add(("q_" + pred, tuple(rng.choice(consts) for _ in row)))
+        for c in h.rules():
+            rule, twin = CompiledRule(c), CompiledRule(_renamed(c, "q_"))
+            for r in (rule, twin):
+                got, want = _fired(r, store)
+                assert got == want, f"\n{c}\nB={b}"
+                derived += bool(got)
+                for i, (pred, slots) in enumerate(r.body):
+                    rows = [row for row in store.by_pred.get(pred, ()) if len(row) == len(slots)]
+                    rows = rng.sample(rows, rng.randint(0, len(rows)))
+                    got, want = _fired(r, store, i, rows)
+                    assert got == want, f"\n{c} from literal {i}\nB={b}"
+                    seeded += bool(got)
+            assert twin.plan(None).kernel is rule.plan(None).kernel
+    assert derived > 150 and seeded > 300 and mixed > 30
+
+
+def _deep_instance(length: int, through: str) -> tuple[Program, Program, Atom]:
+    """A rule of ``length`` body literals over four variables, the first
+    three ``link`` literals, and the facts one planted assignment satisfies
+    plus random others.  The planted link facts are ``through`` facts: as
+    ``link`` facts the long rule derives in its naive first round, and as
+    ``edge`` facts, from which ``link`` is derived, only when it fires from
+    a ``link`` literal seeded with them."""
+    rng = random.Random(length)
+    xs = [var(f"X{i}") for i in range(4)]
+    consts = ["c0", "c1", "c2"]
+    value = {x: const(rng.choice(consts)) for x in xs}
+    lits = [Atom("link", (xs[i], xs[i + 1])) for i in range(3)]
+    for i in range(length - 3):
+        a, b = rng.choice(xs), rng.choice(xs)
+        lits.append(Atom(f"p{i}", (a, b) if rng.random() < 0.8 else (a, const(rng.choice(consts)))))
+    facts = {Atom(through, tuple(value[t] for t in lit.args)) for lit in lits[:3]}
+    for lit in lits[3:]:
+        facts.add(Atom(lit.predicate, tuple(value.get(t, t) for t in lit.args)))
+        for _ in range(4):
+            facts.add(Atom(lit.predicate, (const(rng.choice(consts)), const(rng.choice(consts)))))
+    deep = Clause(Atom("h", (xs[0], xs[3])), tuple(lits))
+    link = Clause(Atom("link", (xs[0], xs[1])), (Atom("edge", (xs[0], xs[1])),))
+    background = Program.of(Clause(f) for f in facts)
+    return background, Program.of([deep, link]), Atom("h", (value[xs[0]], value[xs[3]]))
+
+
+@pytest.mark.parametrize("length", [25, 60])
+@pytest.mark.parametrize("through", ["link", "edge"])
+def test_long_bodies_match_oracle(length, through):
+    """Bodies far deeper than the 20 blocks CPython nests in one function,
+    fired naively (``link`` facts in the background) and seeded by
+    ``saturate`` (``link`` facts derived from ``edge``)."""
+    b, h, planted = _deep_instance(length, through)
+    model = consequences(b, h)
+    assert model.atoms() == naive_consequences(b, h)
+    assert model.has_atom(planted)
+
+
+def test_planted_groups_need_22_kernels(monkeypatch):
+    """Kernels are per plan shape: the 67 body groups of the planted
+    corpus's bias have 22 shapes, and a rule of a known shape adds none."""
+    monkeypatch.setattr(entailment, "_KERNELS", {})
+    planted = parse_rules((DATA / "planted_rules.rules").read_text(encoding="utf-8"))
+    groups = candidate_list(generate_corpus(planted, 2, 0.2, seed=0).bias).groups
+    store = FactStore.from_program(prog("landing_runway(a1,r1).", "cross_runway(a2,r1)."))
+    for group in groups.values():
+        fire(CompiledRule(group.rule), store, set())
+    assert len(groups) == 67
+    assert len(entailment._KERNELS) == 22
+
+    monkeypatch.setattr(entailment, "_KERNELS", {})
+    first = CompiledRule(parse_clause("collision(X,Y):- landing_runway(X,R),cross_runway(Y,R)."))
+    second = CompiledRule(parse_clause("near(A,B):- taxiing(A,T),parked(B,T)."))
+    fire(first, store, set())
+    assert len(entailment._KERNELS) == 1
+    fire(second, store, set())
+    assert len(entailment._KERNELS) == 1
+    assert second.plan(None).kernel is first.plan(None).kernel
+
+
+def test_constants_that_read_as_source_text_match_oracle():
+    """Constants and predicates reach a kernel as arguments, never as text."""
+    b = prog(
+        "p(a,0).", "p(b,class).", "p(c,0).", "q(a,none).", "q(c,none).", "q(b,k0).",
+        "r(0,class).", "r(none,0).", "s(class,c).",
+    )
+    h = rules(
+        "h(X,class):- p(X,0),q(X,none).",
+        "g(X,Y):- p(X,Y),r(0,Y).",
+        "k(none,X):- q(X,none),s(class,X).",
+        "m(X):- r(X,0),q(a,X).",
+    )
+    model = consequences(b, h)
+    assert model.atoms() == naive_consequences(b, h)
+    assert model.has_atom(atom("h", "a", "class")) and model.has_atom(atom("k", "none", "c"))
+    for rule in (compile_clause(c) for c in h.rules()):
+        kernel = rule.plan(None).kernel
+        for f in (v for v in kernel.__globals__.values() if callable(v)):
+            assert not any(isinstance(x, str) for x in f.__code__.co_consts)
 
 
 # --- coverage and support ------------------------------------------------------------
