@@ -7,13 +7,17 @@ while the raw (pre-prune) hypothesis grows with corpus size.  It also shows
 the median seconds per size and the scaling exponent between consecutive
 sizes, log(t2/t1)/log(n2/n1), over those medians.  A cell's seconds are the
 wall time of ``run_pipeline`` plus the held-out ``evaluate``; generating
-the corpus and the scenarios is not timed.
+the corpus and the scenarios is not timed.  Beside the seconds it prints
+the cycle collector's runs of each generation over the same calls
+(``gc.get_stats()`` before and after), which count the tracked objects a
+run allocates; the collector is left as the process has it.
 
   python scripts/run_scaling.py --sizes 5,15,30,60 --seeds 10
 """
 
 import argparse
 import csv
+import gc
 import math
 import statistics
 import sys
@@ -36,10 +40,12 @@ def run_cell(rules, size, seed, corruption, n_scenarios):
         Scenario(sid, background, examples, tags=tags)
         for sid, background, examples, tags in generate_scenarios(rules, n_scenarios, seed)
     ]
+    collections = [g["collections"] for g in gc.get_stats()]
     started = time.monotonic()
     report = run_pipeline(corpus.bundle_sources(), corpus.bias, PipelineConfig(seed=seed))
     metrics = evaluate(report.final_hypothesis, scenarios).metrics
     seconds = time.monotonic() - started
+    gc0, gc1, gc2 = (g["collections"] - n for g, n in zip(gc.get_stats(), collections))
     return {
         "size": size,
         "seed": seed,
@@ -49,6 +55,9 @@ def run_cell(rules, size, seed, corruption, n_scenarios):
         "pre_prune_rules": report.pre_prune_rule_count,
         "final_rules": len(report.final_hypothesis.rules()),
         "seconds": round(seconds, 2),
+        "gc0": gc0,
+        "gc1": gc1,
+        "gc2": gc2,
     }
 
 
@@ -73,11 +82,11 @@ def main(argv=None) -> int:
                 f"size {size:3d} seed {seed:2d}: f1 {row['f1']:.3f}"
                 f" precision {row['precision']:.3f} recall {row['recall']:.3f}"
                 f" rules {row['pre_prune_rules']}->{row['final_rules']}"
-                f" ({row['seconds']}s)"
+                f" ({row['seconds']}s, gc {row['gc0']}/{row['gc1']}/{row['gc2']})"
             )
 
     print()
-    print("size  med-F1  min-prec  med-recall  med-pre-prune  med-final   med-s  exponent")
+    print("size  med-F1  min-prec  med-recall  med-pre-prune  med-final   med-s  exponent  med-gc0/1/2")
     prev = None
     for size in sizes:
         cells = [r for r in rows if r["size"] == size]
@@ -93,6 +102,7 @@ def main(argv=None) -> int:
             f"  {statistics.median(c['pre_prune_rules'] for c in cells):13.1f}"
             f"  {statistics.median(c['final_rules'] for c in cells):9.1f}"
             f"  {secs:6.2f}  {exponent:>8}"
+            f"  {'/'.join(str(statistics.median(c[g] for c in cells)) for g in ('gc0', 'gc1', 'gc2'))}"
         )
 
     if args.csv:

@@ -47,7 +47,7 @@ whose added part is the joining or peeled subset's facts, and its examples
 come from ``Session.join``, which knows the new ones.  The attempt then
 only:
 
-- converts the new facts and merges the committed components they share a
+- reads the new facts and merges the committed components they share a
   constant with; the groups fire once over those facts, and each group's
   union grows by the solutions it lacked;
 - numbers and projects its new atoms;
@@ -75,6 +75,15 @@ hypothesis holds, the model is carried forward: only the new facts are
 inserted, semi-naive rounds run from them, the inserted facts are tested
 against the old negatives and the new examples against the model.  A new
 session or a changed hypothesis rebuilds it from the background program.
+
+A session reads ground data only as rows (``logic.Fact``): a background
+through ``Program.ground_rows``, of which a step reads only the part a
+union adds (``background.added``), and examples through
+``ExampleSet.pos_rows`` and ``neg_rows``.  Its labels are keyed by row,
+and ``join`` takes rows.  The only ground atoms it builds are those
+``Session.check`` reports as missed or covered; the solved form that
+``Session.solved`` snapshots reads ``Program.clauses``, for tracing and
+tests.
 """
 
 from __future__ import annotations
@@ -85,16 +94,13 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .entailment import (
     CompiledRule,
-    Fact,
     FactStore,
-    atom_to_fact,
-    background_facts,
     compile_rules,
     consequences,
     fire,
     saturate,
 )
-from .logic import Atom, Clause, ExampleSet, Program, connected_groups
+from .logic import Atom, Clause, ExampleSet, Fact, Program, connected_groups, row_atom
 
 
 @dataclass(frozen=True)
@@ -167,13 +173,13 @@ _NO_EXAMPLES = ExampleSet()
 class _Verified(NamedTuple):
     """A self-check that found the hypothesis consistent: its background,
     hypothesis and least model, and the examples checked against that model,
-    with each negative by its fact."""
+    with the set of their negatives."""
 
     background: Program
     hypothesis: frozenset[Clause]
     model: FactStore
     examples: ExampleSet
-    negative_facts: dict[Fact, Atom]
+    negatives: set[Fact]
 
 
 class CoverCache:
@@ -321,31 +327,31 @@ class _Base:
         self.usable: set[int] = set()
 
 
-def _added_clauses(background: Program, have: Program) -> frozenset[Clause] | None:
-    """The clauses ``background`` adds to ``have``, or None when it lacks
+def _added_rows(background: Program, have: Program) -> Iterable[Fact] | None:
+    """The facts ``background`` adds to ``have``, or None when it lacks
     some of ``have``'s.  A union over ``have`` names what it adds (which may
-    repeat some of ``have``'s), so only that is read; any other background
-    is compared as a whole."""
+    repeat some of ``have``'s), so only that is read, never the rows of the
+    whole chain; any other background is compared as a whole."""
     if background is have:
-        return frozenset()
+        return ()
     if getattr(background, "base", None) is have:
-        return background.added.clauses  # type: ignore[attr-defined]
-    clauses, old = background.clauses, have.clauses
+        return background.added.ground_rows()  # type: ignore[attr-defined]
+    rows, old = frozenset(background.ground_rows()), have.rows
     if not old:
-        return clauses
-    if not old <= clauses:
+        return rows
+    if not old <= rows:
         return None
-    return clauses - old
+    return rows - old
 
 
 def _added_facts(base: _Base, background: Program) -> list[Fact] | None:
     """The facts ``background`` adds to the base's, or None when it lacks
     some of them."""
-    clauses = _added_clauses(background, base.background)
-    if clauses is None:
+    rows = _added_rows(background, base.background)
+    if rows is None:
         return None
     component_of = base.component_of
-    return [f for f in background_facts(clauses) if not (f[1] and f in component_of.get(f[1][0], ()))]
+    return [f for f in rows if not (f[1] and f in component_of.get(f[1][0], ()))]
 
 
 class _Grown:
@@ -455,12 +461,11 @@ class Attempt:
         by_head: dict[tuple[str, int], list[tuple[int, tuple[str, ...]]]] = {}
         facts = 0
         n = 0
-        for atoms in (new_pos, new_neg):
-            for a in atoms:
-                args = tuple([t.name for t in a.args])
-                fact = (a.predicate, args)
+        for rows in (new_pos, new_neg):
+            for fact in rows:
+                pred, args = fact
                 self.bit_of[fact] = shift + n
-                by_head.setdefault((a.predicate, len(args)), []).append((n, args))
+                by_head.setdefault((pred, len(args)), []).append((n, args))
                 component = grown.component(args[0])
                 if component is not None and fact in component:
                     facts |= 1 << n
@@ -570,9 +575,9 @@ class Attempt:
             else:
                 have |= sols
         base.examples = self.examples
-        for heads, atoms in zip(base.heads, self.new):
-            for a in atoms:
-                heads.setdefault((a.predicate, len(a.args)))
+        for heads, rows in zip(base.heads, self.new):
+            for pred, args in rows:
+                heads.setdefault((pred, len(args)))
         base.bit_of.update(self.bit_of)
         shift = self.shift
         for pattern, table in self.proj.items():
@@ -597,8 +602,10 @@ class Session:
     """One aggregation trial's committed state over a shared cache.
 
     ``examples`` are the committed examples, which keep the order they were
-    first seen in, and ``labels`` maps each to True for a positive and False
-    for a negative.  The committed scoring state is the last attempt's at
+    first seen in, and ``labels`` maps the row of each to True for a
+    positive and False for a negative.  A session reads examples as rows
+    (``ExampleSet.pos_rows``/``neg_rows``) and builds no atom, except those
+    ``check`` returns.  The committed scoring state is the last attempt's at
     the last commit.  ``work`` counts the scoring work done so far (atoms
     numbered, projection entries written and solutions probed); it is
     deterministic, so it bounds what an attempt costs without a clock.
@@ -609,41 +616,41 @@ class Session:
     def __init__(self, cache: CoverCache | None = None) -> None:
         self.cache = cache if cache is not None else CoverCache()
         self.examples = _NO_EXAMPLES
-        self.labels: dict[Atom, bool] = {}
+        self.labels: dict[Fact, bool] = {}
         self._work = [0]  # one item, which attempts add to
         self._base = _Base()
         self._attempt: Attempt | None = None
         # the last join: (its examples, the committed ones it extends, new positives, new negatives)
-        self._joined: tuple[ExampleSet, ExampleSet, tuple[Atom, ...], tuple[Atom, ...]] | None = None
+        self._joined: tuple[ExampleSet, ExampleSet, tuple[Fact, ...], tuple[Fact, ...]] | None = None
         self._verified: _Verified | None = None
 
     @property
     def work(self) -> int:
         return self._work[0]
 
-    def join(self, pos: Iterable[Atom], neg: Iterable[Atom]) -> ExampleSet | None:
-        """The committed examples plus these, as ``ExampleSet.of`` orders
-        them, or None when an atom would carry both labels.  A duplicate is
-        absorbed.  Only the joining atoms are looked up, so a join costs in
-        proportion to them, not to the state.  The committed state is
-        unchanged; the session remembers which atoms the join added, so an
-        attempt over its examples numbers only those."""
-        new: dict[Atom, bool] = {}
-        for label, atoms in ((True, pos), (False, neg)):
-            for a in atoms:
-                have = self.labels.get(a)
+    def join(self, pos: Iterable[Fact], neg: Iterable[Fact]) -> ExampleSet | None:
+        """The committed examples plus these rows, as ``ExampleSet.of``
+        orders them, or None when a row would carry both labels.  A
+        duplicate is absorbed.  Only the joining rows are looked up, so a
+        join costs in proportion to them, not to the state.  The committed
+        state is unchanged; the session remembers which rows the join added,
+        so an attempt over its examples numbers only those."""
+        new: dict[Fact, bool] = {}
+        for label, rows in ((True, pos), (False, neg)):
+            for f in rows:
+                have = self.labels.get(f)
                 if have is None:
-                    have = new.setdefault(a, label)
+                    have = new.setdefault(f, label)
                 if have != label:
                     return None
-        new_pos = tuple(a for a, label in new.items() if label)
-        new_neg = tuple(a for a, label in new.items() if not label)
+        new_pos = tuple(f for f, label in new.items() if label)
+        new_neg = tuple(f for f, label in new.items() if not label)
         out = self.examples.extended(new_pos, new_neg)
         self._joined = (out, self.examples, new_pos, new_neg)
         return out
 
-    def _delta(self, have: ExampleSet, examples: ExampleSet) -> tuple[tuple[Atom, ...], tuple[Atom, ...]] | None:
-        """The positives and negatives ``examples`` append to ``have``, or
+    def _delta(self, have: ExampleSet, examples: ExampleSet) -> tuple[tuple[Fact, ...], tuple[Fact, ...]] | None:
+        """The positive and negative rows ``examples`` append to ``have``, or
         None when they do not extend it: told by the last join, or found by
         comparing the prefixes."""
         if examples is have:
@@ -651,9 +658,9 @@ class Session:
         joined = self._joined
         if joined is not None and joined[0] is examples and joined[1] is have:
             return joined[2], joined[3]
-        pos, neg = examples.positives, examples.negatives
-        n_pos, n_neg = len(have.positives), len(have.negatives)
-        if pos[:n_pos] != have.positives or neg[:n_neg] != have.negatives:
+        pos, neg = examples.pos_rows, examples.neg_rows
+        n_pos, n_neg = len(have.pos_rows), len(have.neg_rows)
+        if pos[:n_pos] != have.pos_rows or neg[:n_neg] != have.neg_rows:
             return None
         return pos[n_pos:], neg[n_neg:]
 
@@ -666,11 +673,11 @@ class Session:
         """
         new = self._delta(self.examples, examples)
         labels = self.labels
-        if new is None or any(a in labels for atoms in new for a in atoms):
+        if new is None or any(f in labels for rows in new for f in rows):
             raise RuntimeError("commit: the examples do not extend the committed examples")
-        for label, atoms in zip((True, False), new):
-            for a in atoms:
-                labels[a] = label
+        for label, rows in zip((True, False), new):
+            for f in rows:
+                labels[f] = label
         self.examples = examples
         if self._attempt is not None:
             self._base = self._attempt.merge()
@@ -679,17 +686,17 @@ class Session:
     def heads(self, examples: ExampleSet) -> list[tuple[str, int]]:
         """The ``(predicate, arity)`` of the examples' atoms, each once, in
         order of first occurrence with the positives first.  The committed
-        atoms' are read from the committed state, so only new atoms are read."""
+        atoms' are read from the committed state, so only new rows are read."""
         base = self._base
         seen_heads = base.heads
         new = self._delta(base.examples, examples)
         if new is None:
-            new, seen_heads = (examples.positives, examples.negatives), ({}, {})
+            new, seen_heads = (examples.pos_rows, examples.neg_rows), ({}, {})
         out: dict[tuple[str, int], None] = {}
-        for seen, atoms in zip(seen_heads, new):
+        for seen, rows in zip(seen_heads, new):
             out.update(seen)
-            for a in atoms:
-                out.setdefault((a.predicate, len(a.args)))
+            for pred, args in rows:
+                out.setdefault((pred, len(args)))
         return list(out)
 
     def attempt(self, background: Program, examples: ExampleSet, candidates: CandidateList) -> Attempt:
@@ -719,8 +726,8 @@ class Session:
             # a fresh session, another candidate list, or a state this one
             # does not extend
             base = _Base(candidates)
-            facts = list(background_facts(background.clauses))
-            new = examples.positives, examples.negatives
+            facts = list(background.ground_rows())
+            new = examples.pos_rows, examples.neg_rows
         self._attempt = Attempt(_Grown(base, background, facts, self.cache, self._work), examples, *new)
         return self._attempt
 
@@ -750,34 +757,32 @@ class Session:
         over that check's background, and a join over its examples, name what
         they add; anything else is compared as a whole.  Any other call
         builds the model from scratch.  The model is never handed out.
+        Everything is read as rows; the atoms returned are built from them.
         """
         kept, self._verified = self._verified, None
-        new = None  # the clauses added to the kept check's background, when it is carried
+        new = None  # the facts added to the kept check's background, when it is carried
         if kept is not None and kept.hypothesis == hypothesis.clauses:
-            new = _added_clauses(background, kept.background)
+            new = _added_rows(background, kept.background)
         if new is not None:
             model = kept.model
-            inserted = saturate(model, compile_rules(hypothesis), background_facts(new))
-            negative_facts = kept.negative_facts
+            inserted = saturate(model, compile_rules(hypothesis), new)
+            negatives = kept.negatives
             delta = self._delta(kept.examples, examples)
             if delta is None:  # not an extension: check every example
-                delta = examples.positives, examples.negatives
-                negative_facts = {}
+                delta = examples.pos_rows, examples.neg_rows
+                negatives = set()
         else:
             model = consequences(background, hypothesis)
             inserted = []
-            delta = examples.positives, examples.negatives
-            negative_facts = {}
-        bad = [negative_facts[f] for f in inserted if f in negative_facts]
-        missed = [a for a in delta[0] if atom_to_fact(a) not in model]
-        for a in delta[1]:
-            fact = atom_to_fact(a)
-            if fact in model:
-                bad.append(a)
-            negative_facts[fact] = a
+            delta = examples.pos_rows, examples.neg_rows
+            negatives = set()
+        bad = [f for f in inserted if f in negatives]
+        missed = [f for f in delta[0] if f not in model]
+        bad += [f for f in delta[1] if f in model]
+        negatives.update(delta[1])
         if not missed and not bad:
-            self._verified = _Verified(background, hypothesis.clauses, model, examples, negative_facts)
-        return missed, bad
+            self._verified = _Verified(background, hypothesis.clauses, model, examples, negatives)
+        return list(map(row_atom, missed)), list(map(row_atom, bad))
 
 
 Slotted = tuple[str, int, tuple[int, ...], str]  # head predicate, head arity, head_slots, key

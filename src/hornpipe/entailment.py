@@ -28,6 +28,14 @@ the solver's self-check.
 
 Everything downstream (example coverage, rule support, evaluation) is
 defined in terms of membership in that model.
+
+Engine representation: a fact is a row ``(predicate, (c1, ..., ck))`` over
+plain strings (``logic.Fact``), and compiled rules refer to arguments by
+int env slots.  A background is read through ``Program.ground_rows``: the
+rows a program holds, as every program the bundle reader makes holds them
+from the start, or else read once from its clauses.  The engine builds no
+``Atom`` or ``Clause`` of ground data; ``coverage`` tests the atoms of the
+examples it is given.
 """
 
 from __future__ import annotations
@@ -37,13 +45,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .logic import Atom, Clause, Program, Term, connected_groups, const
-
-# Engine representation: a fact is (predicate, (c1, ..., ck)) over plain
-# strings; compiled rules refer to arguments by int env slots.
-
-Row = tuple[str, ...]
-Fact = tuple[str, Row]
+from .logic import Atom, Clause, Fact, Program, Row, Term, connected_groups, row_atom
 
 
 def atom_to_fact(a: Atom) -> Fact:
@@ -52,22 +54,6 @@ def atom_to_fact(a: Atom) -> Fact:
         if t.kind != "const":
             raise ValueError(f"expected a ground atom: {a}")
     return (a.predicate, tuple([t.name for t in args]))
-
-
-def fact_to_atom(f: Fact) -> Atom:
-    return Atom(f[0], tuple(const(c) for c in f[1]))
-
-
-def background_facts(clauses: Iterable[Clause]) -> Iterator[Fact]:
-    """Background clauses as facts; a clause with a body is refused.
-
-    A clause with no body is ground by construction, so its arguments are
-    read without a check.
-    """
-    for c in clauses:
-        if c.body:
-            raise ValueError(f"background must contain only facts: {c}")
-        yield (c.head.predicate, tuple([t.name for t in c.head.args]))
 
 
 class FactStore:
@@ -96,7 +82,7 @@ class FactStore:
 
     @staticmethod
     def from_program(p: Program) -> "FactStore":
-        return FactStore(background_facts(p.clauses))
+        return FactStore(p.ground_rows())
 
     def add(self, f: Fact) -> bool:
         """Insert; returns True when the fact is new."""
@@ -147,7 +133,7 @@ class FactStore:
                 yield (pred, args)
 
     def atoms(self) -> set[Atom]:
-        return {fact_to_atom(f) for f in self.facts()}
+        return set(map(row_atom, self.facts()))
 
     def components(self) -> list[list[Fact]]:
         """Constant-connected components, as the facts in each."""
@@ -418,8 +404,8 @@ def consequences(background: Program, hypothesis: Program) -> FactStore:
     background.
     """
     store = FactStore.from_program(background)
-    for a in hypothesis.facts():
-        store.add(atom_to_fact(a))
+    for f in hypothesis.rows:
+        store.add(f)
     rules = compile_rules(hypothesis)
 
     # round 1: every rule once, naively, over the whole store

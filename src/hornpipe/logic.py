@@ -10,6 +10,15 @@ forms a single component).
 ``connected_groups`` is the one union-find of the package: the clause
 connectivity check, a candidate's body groups, a fact store's components
 and the generator's type inference all group items by shared keys with it.
+
+Ground data has two forms.  The engine reads a ground atom as a row
+``(predicate, (c1, ..., ck))`` of plain strings (``Fact``); the bundle
+reader yields rows, and ``Program.from_rows`` and ``ExampleSet.from_rows``
+carry them as they are.  ``Term``, ``Atom`` and ``Clause`` objects of such
+data are built only when something reads ``Program.clauses`` or
+``ExampleSet.positives``/``negatives``, and a program or example set built
+from objects works out its rows on first read.  Equality and hashing read
+the rows, so neither depends on which form a value was built from.
 """
 
 from __future__ import annotations
@@ -104,6 +113,29 @@ class Atom:
 def atom(predicate: str, *names: str) -> Atom:
     """Convenience constructor from surface names."""
     return Atom(predicate, tuple(term(n) for n in names))
+
+
+Row = tuple[str, ...]
+Fact = tuple[str, Row]  # a ground atom as the engine reads it: predicate, constant names
+
+
+def fact_row(a: Atom) -> Fact:
+    """The row of an atom known to be ground."""
+    return (a.predicate, tuple([t.name for t in a.args]))
+
+
+def row_atom(f: Fact) -> Atom:
+    """The atom of a row, built unchecked: a row holds a predicate and
+    constant names that its maker has checked."""
+    a = object.__new__(Atom)
+    object.__setattr__(a, "predicate", f[0])
+    object.__setattr__(a, "args", tuple([Term("const", name) for name in f[1]]))
+    return a
+
+
+def row_text(f: Fact) -> str:
+    """A row as its atom prints."""
+    return f"{f[0]}({','.join(f[1])})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,11 +332,44 @@ def print_clause(clause: Clause) -> str:
     return str(canonical(clause))
 
 
-@dataclass(frozen=True)
-class Program:
-    """A set of clauses, duplicate-free modulo variable renaming."""
+def _fact_clause(f: Fact) -> Clause:
+    """The fact clause of a row, built unchecked (see ``row_atom``)."""
+    c = object.__new__(Clause)
+    object.__setattr__(c, "head", row_atom(f))
+    object.__setattr__(c, "body", ())
+    return c
 
-    clauses: frozenset[Clause] = frozenset()
+
+def _clause_rows(clauses: Iterable[Clause]) -> Iterator[Fact]:
+    """The clauses' facts as rows, read once; a clause with a body is refused."""
+    for c in clauses:
+        if c.body:
+            raise ValueError(f"background must contain only facts: {c}")
+        yield (c.head.predicate, tuple([t.name for t in c.head.args]))
+
+
+class Program:
+    """A set of clauses, duplicate-free modulo variable renaming.
+
+    Built from clauses (``Program(clauses)``, ``Program.of``) or from the
+    rows of ground facts (``Program.from_rows``).  Either form is worked out
+    from the other on first read and kept: ``clauses`` builds a row-built
+    program's fact clauses, and ``rows`` and ``rule_set`` split a
+    clause-built one.  ``ground_rows`` serves a reader that reads the facts
+    once without keeping a second form.  Two programs are equal when their
+    rows and rules are.  Immutable.
+    """
+
+    def __init__(self, clauses: frozenset[Clause] = frozenset()):
+        object.__setattr__(self, "clauses", clauses)
+
+    @staticmethod
+    def from_rows(rows: frozenset[Fact]) -> Program:
+        """The program of these ground facts, unchecked (see ``row_atom``)."""
+        p = object.__new__(Program)
+        object.__setattr__(p, "rows", rows)
+        object.__setattr__(p, "rule_set", frozenset())
+        return p
 
     @staticmethod
     def of(items: Iterable[Clause | Atom]) -> Program:
@@ -316,6 +381,32 @@ class Program:
         return Program(frozenset(out))
 
     @cached_property
+    def clauses(self) -> frozenset[Clause]:
+        return frozenset(map(_fact_clause, self.rows)).union(self.rule_set)
+
+    @cached_property
+    def rows(self) -> frozenset[Fact]:
+        """The facts, as rows."""
+        return frozenset(fact_row(c.head) for c in self.clauses if not c.body)
+
+    @cached_property
+    def rule_set(self) -> frozenset[Clause]:
+        """The clauses with a body."""
+        return frozenset(c for c in self.clauses if c.body)
+
+    def ground_rows(self) -> Iterable[Fact]:
+        """The facts as rows, for a reader that reads them once; ValueError
+        when the program has a rule.  A program built from clauses whose
+        rows nobody has read yields them from its clauses and keeps nothing,
+        so a one-off read costs no second copy of the facts."""
+        d = self.__dict__
+        if "rows" in d or "clauses" not in d:
+            if self.rule_set:
+                raise ValueError(f"background must contain only facts: {min(self.rule_set, key=str)}")
+            return self.rows
+        return _clause_rows(d["clauses"])
+
+    @cached_property
     def _sorted(self) -> tuple[Clause, ...]:
         return tuple(sorted(self.clauses, key=str))
 
@@ -323,10 +414,22 @@ class Program:
         return iter(self._sorted)
 
     def __len__(self) -> int:
-        return len(self.clauses)
+        clauses = self.__dict__.get("clauses")
+        return len(clauses) if clauses is not None else len(self.rows) + len(self.rule_set)
 
     def __contains__(self, c: Clause) -> bool:
         return canonical(c) in self.clauses
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Program):
+            return self is other or (self.rows == other.rows and self.rule_set == other.rule_set)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.rule_set))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
 
     def facts(self) -> list[Atom]:
         return [c.head for c in self._sorted if c.is_fact()]
@@ -335,41 +438,47 @@ class Program:
         return [c for c in self._sorted if not c.is_fact()]
 
     def union(self, other: "Program") -> "Program":
-        """Both programs' clauses.  The clause set is built on first read, so
-        a chain of unions (an aggregation trial's growing background) costs
-        nothing per link; the result's ``base`` and ``added`` are ``self``
-        and ``other``, which tells a reader holding ``base`` what was added."""
+        """Both programs' clauses.  Nothing is built per link, so a chain of
+        unions (an aggregation trial's growing background) costs nothing
+        until read; the result's ``base`` and ``added`` are ``self`` and
+        ``other``, which tells a reader holding ``base`` what was added."""
         return _Union(self, other)
+
+    def __repr__(self) -> str:
+        return f"Program(clauses={self.clauses!r})"
 
     def __str__(self) -> str:
         return print_program(self)
 
 
 class _Union(Program):
-    """``Program.union``: equal to, and hashed as, a program of both clause sets."""
+    """``Program.union``: each of its forms is both operands' own, joined."""
 
     def __init__(self, base: Program, added: Program):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "added", added)
 
-    @cached_property
-    def clauses(self) -> frozenset[Clause]:  # type: ignore[override]
-        # walk down to the first link already built, so that a long chain is
-        # built once and without recursion
+    def _joined(self, form: str) -> frozenset:
+        # walk down to the first link that holds the form, so that a long
+        # chain is built once and without recursion
         parts = []
         link: Program = self
-        while isinstance(link, _Union) and "clauses" not in link.__dict__:
-            parts.append(link.added.clauses)
+        while isinstance(link, _Union) and form not in link.__dict__:
+            parts.append(getattr(link.added, form))
             link = link.base
-        return link.clauses.union(*parts)
+        return getattr(link, form).union(*parts)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Program):
-            return self.clauses == other.clauses
-        return NotImplemented
+    @cached_property
+    def clauses(self) -> frozenset[Clause]:  # type: ignore[override]
+        return self._joined("clauses")
 
-    def __hash__(self) -> int:
-        return hash((self.clauses,))
+    @cached_property
+    def rows(self) -> frozenset[Fact]:  # type: ignore[override]
+        return self._joined("rows")
+
+    @cached_property
+    def rule_set(self) -> frozenset[Clause]:  # type: ignore[override]
+        return self._joined("rule_set")
 
 
 def print_program(program: Program) -> str:
@@ -453,27 +562,26 @@ class BiasSpec:
         return out
 
 
-@dataclass(frozen=True)
 class ExampleSet:
     """Ground positive/negative example atoms.
 
     Order is preserved (first-parse order matters downstream when examples
     are retracted one at a time); duplicates are dropped; an atom may not
-    appear on both sides.
+    appear on both sides.  Built from atoms, checked (``ExampleSet(...)``,
+    ``ExampleSet.of``), or from rows the caller has checked
+    (``ExampleSet.from_rows``, ``extended``); either form is worked out from
+    the other on first read, as in ``Program``.  Immutable.
     """
 
-    positives: tuple[Atom, ...] = ()
-    negatives: tuple[Atom, ...] = ()
-
-    def __post_init__(self) -> None:
-        for a in (*self.positives, *self.negatives):
+    def __init__(self, positives: tuple[Atom, ...] = (), negatives: tuple[Atom, ...] = ()):
+        for a in (*positives, *negatives):
             for t in a.args:
                 if t.kind != "const":
                     raise ValueError(f"example must be ground: {a}")
-        pos, neg = set(self.positives), set(self.negatives)
-        if len(pos) != len(self.positives):
+        pos, neg = set(positives), set(negatives)
+        if len(pos) != len(positives):
             raise ValueError("duplicate positive example")
-        if len(neg) != len(self.negatives):
+        if len(neg) != len(negatives):
             raise ValueError("duplicate negative example")
         both = pos & neg
         if both:
@@ -481,6 +589,17 @@ class ExampleSet:
                 "atom labeled both positive and negative: "
                 + ", ".join(sorted(str(a) for a in both))
             )
+        object.__setattr__(self, "positives", positives)
+        object.__setattr__(self, "negatives", negatives)
+
+    @staticmethod
+    def from_rows(pos_rows: tuple[Fact, ...], neg_rows: tuple[Fact, ...]) -> "ExampleSet":
+        """The example set of these rows, unchecked: the caller has checked
+        that each side is duplicate-free and that no row is on both."""
+        out = object.__new__(ExampleSet)
+        object.__setattr__(out, "pos_rows", pos_rows)
+        object.__setattr__(out, "neg_rows", neg_rows)
+        return out
 
     @staticmethod
     def of(positives: Iterable[Atom], negatives: Iterable[Atom]) -> "ExampleSet":
@@ -492,21 +611,53 @@ class ExampleSet:
             neg.setdefault(a)
         return ExampleSet(tuple(pos), tuple(neg))
 
-    def extended(self, positives: tuple[Atom, ...], negatives: tuple[Atom, ...]) -> "ExampleSet":
-        """This set with ``positives`` and ``negatives`` appended, unchecked.
+    def extended(self, pos_rows: tuple[Fact, ...], neg_rows: tuple[Fact, ...]) -> "ExampleSet":
+        """This set with these rows appended, unchecked.
 
-        The caller has checked the new atoms against this set: ground, each
-        new to both sides, and none on both sides.  Nothing is re-validated,
-        so the cost does not grow with this set's checked examples.
+        The caller has checked the new rows against this set: each new to
+        both sides, and none on both sides.  Nothing is re-validated and no
+        atom is built, so the cost does not grow with this set's checked
+        examples.
         """
-        out = object.__new__(ExampleSet)
-        object.__setattr__(out, "positives", self.positives + positives)
-        object.__setattr__(out, "negatives", self.negatives + negatives)
-        return out
+        return ExampleSet.from_rows(self.pos_rows + pos_rows, self.neg_rows + neg_rows)
+
+    @cached_property
+    def positives(self) -> tuple[Atom, ...]:
+        return tuple(map(row_atom, self.pos_rows))
+
+    @cached_property
+    def negatives(self) -> tuple[Atom, ...]:
+        return tuple(map(row_atom, self.neg_rows))
+
+    @cached_property
+    def pos_rows(self) -> tuple[Fact, ...]:
+        return tuple(map(fact_row, self.positives))
+
+    @cached_property
+    def neg_rows(self) -> tuple[Fact, ...]:
+        return tuple(map(fact_row, self.negatives))
 
     @cached_property
     def pos_set(self) -> frozenset[Atom]:
         return frozenset(self.positives)
 
     def __len__(self) -> int:
-        return len(self.positives) + len(self.negatives)
+        # whichever form of each side is held, so that nothing is built
+        d = self.__dict__
+        return len(d["pos_rows"] if "pos_rows" in d else d["positives"]) + len(
+            d["neg_rows"] if "neg_rows" in d else d["negatives"]
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ExampleSet):
+            return self is other or (self.pos_rows == other.pos_rows and self.neg_rows == other.neg_rows)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pos_rows, self.neg_rows))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __repr__(self) -> str:
+        return f"ExampleSet(positives={self.positives!r}, negatives={self.negatives!r})"

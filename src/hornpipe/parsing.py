@@ -4,18 +4,20 @@ Files are UTF-8 text, one statement per line, each terminated by ``.``;
 ``%`` starts a comment that runs to the end of the line.  Whitespace is
 free between tokens.
 
-Ground data is read a line at a time.  ``parse_facts`` and
-``parse_examples`` first try one compiled match per line
+Ground data is read a line at a time, into rows (``logic.Fact``).
+``parse_facts`` and ``parse_examples`` first try one compiled match per line
 (``_FACT_LINE_RE``, ``_EXAMPLE_LINE_RE``): a ground atom written without
 inner whitespace, with optional spaces or tabs around the statement and an
 optional trailing comment.  The match proves everything the tokenizer and
-cursor would check, so its predicate and constants become the atom
-directly, each constant's ``Term`` built once per call.  Every other line,
-including blank, comment-only and malformed ones, goes through the
+cursor would check, so its predicate and constants become the row
+directly, with no ``Term``, ``Atom`` or ``Clause`` built.  Every other
+line, including blank, comment-only and malformed ones, goes through the
 tokenizer and cursor (``_tokens``, ``_Cursor``, ``_parse_atom``), which is
-also the only path of ``parse_rules``, ``parse_clause`` and ``parse_bias``.
-So every ``ParseError`` comes from that one path, with the line's number in
-the file.
+also the only path of ``parse_rules``, ``parse_clause`` and
+``parse_bias``.  So every ``ParseError`` comes from that one path, with
+the line's number in the file.  The results carry the rows
+(``Program.from_rows``, ``ExampleSet.from_rows``); their objects are built
+only if a caller reads ``clauses`` or ``positives``/``negatives``.
 """
 
 from __future__ import annotations
@@ -32,9 +34,12 @@ from .logic import (
     DEFAULT_MAX_VARS,
     PRED_RE,
     ExampleSet,
+    Fact,
     PredDecl,
     Program,
     Term,
+    fact_row,
+    row_text,
     term,
 )
 
@@ -51,8 +56,6 @@ _GROUND_ATOM = rf"({_NAME})\(({_CONST}(?:,{_CONST})*)\)"
 _LINE_END = r"[ \t]*(?:%.*)?\Z"
 _FACT_LINE_RE = re.compile(rf"[ \t]*{_GROUND_ATOM}\.{_LINE_END}")
 _EXAMPLE_LINE_RE = re.compile(rf"[ \t]*(pos|neg)\({_GROUND_ATOM}\)\.{_LINE_END}")
-
-_NO_EXAMPLES = ExampleSet()
 
 
 class ParseError(ValueError):
@@ -138,30 +141,6 @@ def _parse_atom(cur: _Cursor) -> Atom:
     return Atom(name, tuple(args))
 
 
-class _Consts(dict):
-    """Constant name -> its Term, built on first use; one per parse call."""
-
-    def __missing__(self, name: str) -> Term:
-        t = self[name] = Term("const", name)
-        return t
-
-
-def _ground_atom(predicate: str, names: str, consts: _Consts) -> Atom:
-    """The atom of a line the ground-atom match accepted, built unchecked."""
-    a = object.__new__(Atom)
-    object.__setattr__(a, "predicate", predicate)
-    object.__setattr__(a, "args", tuple(map(consts.__getitem__, names.split(","))))
-    return a
-
-
-def _fact(head: Atom) -> Clause:
-    """The fact clause of a ground atom, built unchecked."""
-    c = object.__new__(Clause)
-    object.__setattr__(c, "head", head)
-    object.__setattr__(c, "body", ())
-    return c
-
-
 def _parse_clause_tokens(cur: _Cursor) -> Clause:
     head = _parse_atom(cur)
     body: list[Atom] = []
@@ -199,12 +178,11 @@ def parse_rules(text: str) -> Program:
 
 def parse_facts(text: str) -> Program:
     """Parse a background file of ground facts."""
-    consts = _Consts()
-    facts = []
+    rows: set[Fact] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         m = _FACT_LINE_RE.match(raw)
         if m is not None:
-            facts.append(_fact(_ground_atom(m[1], m[2], consts)))
+            rows.add((m[1], tuple(m[2].split(","))))
             continue
         tokens = _tokens(raw, lineno)
         if tokens is None:
@@ -214,9 +192,9 @@ def parse_facts(text: str) -> Program:
         cur.end()
         if not a.is_ground():
             raise ParseError(f"fact must be ground: {a}", lineno)
-        facts.append(Clause(a))
-    # a ground fact is its own canonical form, so this is Program.of(facts)
-    return Program(frozenset(facts))
+        rows.add(fact_row(a))
+    # a ground fact is its own canonical form, so this equals Program.of(facts)
+    return Program.from_rows(frozenset(rows))
 
 
 def parse_examples(text: str) -> ExampleSet:
@@ -226,13 +204,12 @@ def parse_examples(text: str) -> ExampleSet:
     example predicates are declared head predicates is for validation to
     check against the bias.
     """
-    consts = _Consts()
-    pos: dict[Atom, None] = {}
-    neg: dict[Atom, None] = {}
+    pos: dict[Fact, None] = {}
+    neg: dict[Fact, None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         m = _EXAMPLE_LINE_RE.match(raw)
         if m is not None:
-            (pos if m[1] == "pos" else neg)[_ground_atom(m[2], m[3], consts)] = None
+            (pos if m[1] == "pos" else neg)[(m[2], tuple(m[3].split(",")))] = None
             continue
         tokens = _tokens(raw, lineno)
         if tokens is None:
@@ -247,22 +224,25 @@ def parse_examples(text: str) -> ExampleSet:
         cur.end()
         if not inner.is_ground():
             raise ParseError(f"example must be ground: {inner}", lineno)
-        (pos if label == "pos" else neg)[inner] = None
+        (pos if label == "pos" else neg)[fact_row(inner)] = None
     try:
         return labelled_examples(tuple(pos), tuple(neg))
     except ValueError as e:
         raise ParseError(str(e)) from None
 
 
-def labelled_examples(positives: tuple[Atom, ...], negatives: tuple[Atom, ...]) -> ExampleSet:
-    """The ExampleSet of ground atoms that are distinct within each side.
+def labelled_examples(positives: tuple[Fact, ...], negatives: tuple[Fact, ...]) -> ExampleSet:
+    """The ExampleSet of rows that are distinct within each side.
 
-    Only the two sides are checked against each other; an atom on both
-    raises ``ExampleSet``'s own ValueError.
+    Only the two sides are checked against each other; a row on both
+    raises the ValueError that ``ExampleSet`` raises for its atom.
     """
-    if not set(positives).isdisjoint(negatives):
-        return ExampleSet(positives, negatives)
-    return _NO_EXAMPLES.extended(positives, negatives)
+    both = set(positives).intersection(negatives)
+    if both:
+        raise ValueError(
+            "atom labeled both positive and negative: " + ", ".join(sorted(map(row_text, both)))
+        )
+    return ExampleSet.from_rows(positives, negatives)
 
 
 _BOUND_DIRECTIVES = ("max_vars", "max_body", "max_clauses")
@@ -349,8 +329,8 @@ def parse_bias(text: str) -> BiasSpec:
 
 def print_examples(examples: ExampleSet) -> str:
     """Render an example set in parse order; round-trips through parse_examples."""
-    lines = [f"pos({a})." for a in examples.positives]
-    lines += [f"neg({a})." for a in examples.negatives]
+    lines = [f"pos({row_text(f)})." for f in examples.pos_rows]
+    lines += [f"neg({row_text(f)})." for f in examples.neg_rows]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -1,7 +1,9 @@
 """Four-stage learning pipeline over extracted subset bundles.
 
 Stage 1 (validation): parse and vocabulary/type/label checks per bundle,
-with bounded re-extraction attempts.
+with bounded re-extraction attempts.  The checks read the parser's rows,
+and a subset carries them (``Program.from_rows``, ``ExampleSet.from_rows``)
+into every later stage, which reads them as rows too.
 Stage 2 (subset checks): each valid subset must admit its own exact-fit
 hypothesis, or it is set aside as unreliable.  Every stage, and held-out
 evaluation, runs in-process; ``PipelineConfig.jobs`` is still accepted and
@@ -13,7 +15,7 @@ background and examples, and its last consistent self-check's model, and
 which the trial commits when a step is accepted.  A step tells the session
 what it adds: its background is a ``Program.union`` of the state's and the
 subset's, built lazily, which names the subset's facts, and its examples
-come from ``Session.join``, which looks up only the joining atoms.  So a
+come from ``Session.join``, which looks up only the joining examples.  So a
 step numbers, checks and scores what the subset adds, not the whole state,
 and each solve still equals a from-scratch one.  ``run_pipeline`` passes
 one ``cover.CoverCache`` through stages 2 and 3, so a subset whose
@@ -49,13 +51,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import learner
 from .cover import CoverCache, Session
 from .entailment import rule_supports
 from .ingestion import BundleSource, RawBundle
-from .logic import Atom, BiasSpec, ExampleSet, Program, print_clause
+from .logic import BiasSpec, ExampleSet, Fact, Program, print_clause, row_atom, row_text
 from .parsing import ParseError, labelled_examples, parse_examples, parse_facts
 
 DEFAULT_SUPPORT_THRESHOLD = 0.20
@@ -103,14 +105,14 @@ class ValidationOutcome:
     subset: SubsetInstance | None = None
 
 
-def _type_conflicts(atoms, types_by_pred) -> Iterator[str]:
-    """A reason for each ground atom that uses a constant at a second type."""
+def _type_conflicts(rows: Iterable[Fact], types_by_pred) -> Iterator[str]:
+    """A reason for each ground atom's row that uses a constant at a second type."""
     constant_types: dict[str, str] = {}
-    for a in atoms:
-        for term, ty in zip(a.args, types_by_pred.get(a.predicate) or ()):
-            prev = constant_types.setdefault(term.name, ty)
+    for pred, names in rows:
+        for name, ty in zip(names, types_by_pred.get(pred) or ()):
+            prev = constant_types.setdefault(name, ty)
             if prev != ty:
-                yield f"type conflict: constant {term.name} used as {prev} and {ty}"
+                yield f"type conflict: constant {name} used as {prev} and {ty}"
 
 
 def _check_bundle(bundle: RawBundle, bias: BiasSpec) -> tuple[SubsetInstance | None, list[str]]:
@@ -127,50 +129,50 @@ def _check_bundle(bundle: RawBundle, bias: BiasSpec) -> tuple[SubsetInstance | N
     nominal_bk = parsed(parse_facts, "nominal facts", bundle.nominal_facts)
     pos_part = parsed(parse_examples, "violation examples", bundle.violation_examples)
     neg_part = parsed(parse_examples, "nominal examples", bundle.nominal_examples)
-    if pos_part is not None and pos_part.negatives:
+    if pos_part is not None and pos_part.neg_rows:
         reasons.append("negative example in violation-derived bundle")
-    if neg_part is not None and neg_part.positives:
+    if neg_part is not None and neg_part.pos_rows:
         reasons.append("positive example in nominal-derived bundle")
 
     parts = [bk for bk in (violation_bk, nominal_bk) if bk is not None]
-    example_atoms = [
-        a for part in (pos_part, neg_part) if part is not None for a in (*part.positives, *part.negatives)
+    example_rows = [
+        f for part in (pos_part, neg_part) if part is not None for f in (*part.pos_rows, *part.neg_rows)
     ]
     vocab, heads = bias.vocabulary, bias.head_predicates
 
-    def flag(facts: list[Atom]) -> list[str]:
+    def flag(facts: list[Fact]) -> list[str]:
         flagged = [
-            f"unknown predicate {a.predicate}/{a.arity}"
-            for a in (*facts, *example_atoms)
-            if vocab.get(a.predicate) != a.arity
+            f"unknown predicate {pred}/{len(args)}"
+            for pred, args in (*facts, *example_rows)
+            if vocab.get(pred) != len(args)
         ]
         flagged += [
-            f"example predicate is not a declared head predicate: {a.predicate}/{a.arity}"
-            for a in example_atoms
-            if a.predicate not in heads and vocab.get(a.predicate) == a.arity
+            f"example predicate is not a declared head predicate: {pred}/{len(args)}"
+            for pred, args in example_rows
+            if pred not in heads and vocab.get(pred) == len(args)
         ]
-        flagged += _type_conflicts((*facts, *example_atoms), bias.types_by_predicate)
+        flagged += _type_conflicts((*facts, *example_rows), bias.types_by_predicate)
         return flagged
 
     # whether anything is flagged does not depend on the order the facts are
     # read in, so a clean bundle is checked unordered; the reasons are listed
-    # in each part's clause text order
-    if flag([c.head for bk in parts for c in bk.clauses]):
-        reasons.extend(dict.fromkeys(flag([c.head for bk in parts for c in bk])))
+    # in each part's clause text order, which is its rows' text order
+    if flag([f for bk in parts for f in bk.rows]):
+        reasons.extend(dict.fromkeys(flag([f for bk in parts for f in sorted(bk.rows, key=row_text)])))
 
     if pos_part is None or neg_part is None:
         return None, reasons
     try:
         # the parser has made each side ground and duplicate-free
-        examples = labelled_examples(pos_part.positives, neg_part.negatives)
+        examples = labelled_examples(pos_part.pos_rows, neg_part.neg_rows)
     except ValueError as e:
         return None, [*reasons, str(e)]
-    if not examples.positives:
+    if not examples.pos_rows:
         reasons.append("no positive example")
     if reasons:
         return None, reasons
     # a subset check reads every fact at once, so the union is built here
-    background = Program(violation_bk.clauses | nominal_bk.clauses)
+    background = Program.from_rows(violation_bk.rows | nominal_bk.rows)
     return SubsetInstance(bundle.id, bundle.timestamp, background, examples), []
 
 
@@ -334,12 +336,13 @@ def retain_partial(
     attempt built it.  Removal is cumulative, newest-parsed first, negatives
     before positives; at least one of the candidate's own positives must
     survive.  Returns (removed_pos, removed_neg, result, background,
-    examples) or None when every reduction fails.
+    examples), the removed examples as atoms, or None when every reduction
+    fails.
     """
-    pos = list(subset.examples.positives)
-    neg = list(subset.examples.negatives)
-    removed_pos: list[Atom] = []
-    removed_neg: list[Atom] = []
+    pos = list(subset.examples.pos_rows)
+    neg = list(subset.examples.neg_rows)
+    removed_pos: list[Fact] = []
+    removed_neg: list[Fact] = []
     while neg or len(pos) > 1:
         if neg:
             removed_neg.append(neg.pop())
@@ -347,7 +350,7 @@ def retain_partial(
             removed_pos.append(pos.pop())
         res, examples = _try_union(session, background, pos, neg, bias)
         if _acceptable(res):
-            return removed_pos, removed_neg, res, background, examples
+            return list(map(row_atom, removed_pos)), list(map(row_atom, removed_neg)), res, background, examples
     return None
 
 
@@ -425,7 +428,7 @@ def _run_trial(
     log: list[CandidateDecision] = []
     for subset in order:
         background = state.background.union(subset.background)
-        pos, neg = subset.examples.positives, subset.examples.negatives
+        pos, neg = subset.examples.pos_rows, subset.examples.neg_rows
         res, examples = _try_union(session, background, pos, neg, bias)
         partial = not _acceptable(res)
         removed_pos = removed_neg = ()

@@ -21,7 +21,7 @@ import pytest
 from hornpipe import entailment, learner
 from hornpipe.cover import Session
 from hornpipe.entailment import consequences
-from hornpipe.logic import Atom, ExampleSet, Program, atom, const
+from hornpipe.logic import Atom, ExampleSet, Program, atom, const, fact_row
 from hornpipe.parsing import parse_bias, parse_clause, parse_facts, parse_rules
 from hornpipe.pipeline import PipelineConfig, aggregate, run_checks
 from hornpipe.synthgen import generate_corpus
@@ -191,7 +191,7 @@ def test_session_joins_exactly_as_example_set_of():
                 want = ExampleSet.of((*state.positives, *pos), (*state.negatives, *neg))
             except ValueError:
                 want = None
-            got = labels.join(pos, neg)
+            got = labels.join(map(fact_row, pos), map(fact_row, neg))
             assert labels.examples is state  # a join leaves the session as it was
             if want is None:
                 assert got is None
@@ -212,7 +212,7 @@ def test_commit_refuses_examples_that_do_not_extend_the_committed_ones():
     """Committed labels are never rewritten: a commit whose examples drop,
     reorder or relabel a committed atom raises and changes nothing."""
     session = Session()
-    session.commit(session.join([atom("h", "c", "d")], [atom("h", "b", "a")]))
+    session.commit(session.join([("h", ("c", "d"))], [("h", ("b", "a"))]))
     labels = dict(session.labels)
     committed = session.examples
     for bad in (
@@ -221,7 +221,7 @@ def test_commit_refuses_examples_that_do_not_extend_the_committed_ones():
         ExampleSet.of([atom("h", "x", "y"), atom("h", "c", "d")], [atom("h", "b", "a")]),
         ExampleSet(),
         # keeps the order but labels a committed negative positive too
-        committed.extended((atom("h", "b", "a"),), ()),
+        committed.extended((("h", ("b", "a")),), ()),
     ):
         with pytest.raises(RuntimeError, match="do not extend the committed examples"):
             session.commit(bad)
@@ -322,7 +322,7 @@ def _attempt_chain(seed: int, counts: dict) -> None:
         neg = [atom("h", rng.choice(consts), rng.choice(consts)) for _ in range(rng.randint(0, 3))]
         examples = None
         while True:
-            joined = session.join(pos, neg)
+            joined = session.join(map(fact_row, pos), map(fact_row, neg))
             if joined is not None:
                 examples = joined
                 got = learner.solve(background, joined, bias, session)

@@ -723,7 +723,7 @@ def test_solve_scores_each_slotted_group_once(monkeypatch):
 
     # new facts that grow some unions, and new atoms of the one head pattern
     grown = background.union(parse_facts("p(c,a).\nr(b).\n"))
-    joined = session.join([atom("h", "c", "a")], [atom("h", "c", "b")])
+    joined = session.join([("h", ("c", "a"))], [("h", ("c", "b"))])
     fresh = solve(grown, joined, SMALL_BIAS)
     updates.clear()
     assert solve(grown, joined, SMALL_BIAS, session) == fresh

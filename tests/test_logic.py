@@ -6,6 +6,7 @@ enumerates every variable bijection and body ordering.
 
 from __future__ import annotations
 
+import pickle
 import random
 import time
 from itertools import permutations
@@ -28,7 +29,7 @@ from hornpipe.logic import (
     term,
     var,
 )
-from hornpipe.parsing import parse_clause, parse_rules
+from hornpipe.parsing import ParseError, labelled_examples, parse_clause, parse_examples, parse_facts, parse_rules
 
 from oracles import linked_groups
 
@@ -349,3 +350,81 @@ def test_example_set_of_dedups_preserving_order():
     es = ExampleSet.of([a, b, a], [])
     assert es.positives == (a, b)
     assert es.pos_set == frozenset({a, b})
+
+
+# --- ground data as rows and as objects --------------------------------------------
+
+def _ground_lines(rng: random.Random, n: int) -> list[tuple[str, tuple[str, ...]]]:
+    preds = [("p", 2), ("q", 1), ("r", 3), ("p", 1)]
+    consts = ["a", "b", "c", "d1", "0", "class"]
+    out = []
+    for _ in range(n):
+        pred, arity = rng.choice(preds)
+        out.append((pred, tuple(rng.choice(consts) for _ in range(arity))))
+    return out
+
+
+def _same(x, y) -> None:
+    """Equal both ways, hashed alike and printed alike, also after pickling."""
+    assert x == y and y == x
+    assert hash(x) == hash(y)
+    assert str(x) == str(y)
+    for z in (pickle.loads(pickle.dumps(x)), pickle.loads(pickle.dumps(y))):
+        assert z == x and x == z and hash(z) == hash(x) and str(z) == str(x)
+
+
+def test_row_and_object_programs_are_interchangeable():
+    """A program the fact reader made, a union of such programs and the
+    same clauses built as objects compare equal both ways, hash alike,
+    print alike and survive pickling; rules in either side take part."""
+    rng = random.Random(2710)
+    rule = parse_clause("h(X):- p(X,Y),q(Y).")
+    for _ in range(200):
+        rows = _ground_lines(rng, rng.randint(0, 8))
+        more = _ground_lines(rng, rng.randint(0, 4))
+        read = parse_facts("".join(f"{p}({','.join(args)}).\n" for p, args in rows))
+        built = Program.of(atom(p, *args) for p, args in rows)
+        assert "clauses" not in read.__dict__
+        _same(read, built)
+        assert "clauses" in read.__dict__  # printing built them
+        union = read.union(Program.from_rows(frozenset(more)))
+        _same(union, Program.of(atom(p, *args) for p, args in (*rows, *more)))
+        with_rule = Program.from_rows(frozenset(rows)).union(Program.of([rule]))
+        _same(with_rule, Program.of([rule, *(atom(p, *args) for p, args in rows)]))
+        assert read != with_rule and with_rule != read
+    assert Program.from_rows(frozenset()) == Program() and Program() == Program.from_rows(frozenset())
+
+
+def test_row_and_object_example_sets_are_interchangeable():
+    """Example sets the example reader made and the same atoms through
+    ``ExampleSet.of`` compare equal both ways, hash alike, print alike and
+    survive pickling; their rebuilt atoms equal the parsed ones, in order."""
+    rng = random.Random(2711)
+    for _ in range(200):
+        lines = list(dict.fromkeys(_ground_lines(rng, rng.randint(0, 10))))
+        labels = [rng.random() < 0.5 for _ in lines]
+        text = "".join(f"{'pos' if pos else 'neg'}({p}({','.join(args)})).\n" for (p, args), pos in zip(lines, labels))
+        read = parse_examples(text)
+        assert not {"positives", "negatives"} & read.__dict__.keys()
+        pos = [parse_clause(f"{p}({','.join(args)}).").head for (p, args), ok in zip(lines, labels) if ok]
+        neg = [parse_clause(f"{p}({','.join(args)}).").head for (p, args), ok in zip(lines, labels) if not ok]
+        built = ExampleSet.of(pos, neg)
+        assert len(read) == len(built) == len(lines)
+        _same(read, built)
+        assert read.positives == tuple(pos) and read.negatives == tuple(neg)
+        assert read.pos_set == built.pos_set
+        assert read != ExampleSet.of(neg, pos) or not lines
+
+
+def test_labelled_examples_raises_the_example_sets_text():
+    """A row labelled on both sides raises, in the reader and in
+    ``labelled_examples``, the text ``ExampleSet`` raises for its atom."""
+    rows = (("h", ("b", "a")), ("h", ("a", "b")), ("g", ("c",)))
+    atoms = tuple(atom(p, *args) for p, args in rows)
+    with pytest.raises(ValueError) as want:
+        ExampleSet(atoms, atoms[:2])
+    with pytest.raises(ValueError) as got:
+        labelled_examples(rows, rows[:2])
+    assert str(got.value) == str(want.value) == "atom labeled both positive and negative: h(a,b), h(b,a)"
+    with pytest.raises(ParseError, match=r"^atom labeled both positive and negative: h\(a,b\), h\(b,a\)$"):
+        parse_examples("pos(h(b,a)).\npos(h(a,b)).\nneg(h(a,b)).\nneg(h(b,a)).\n")

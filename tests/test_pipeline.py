@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,8 @@ from hornpipe.pipeline import (
     validate_bundle,
 )
 from hornpipe.synthgen import generate_corpus, sample_rules
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 TEST_BIAS = parse_bias(
     "head_pred(goal,2).\n"
@@ -576,3 +579,27 @@ def test_config_rejects_bad_values():
         PipelineConfig(max_retries=0)
     with pytest.raises(ValueError):
         PipelineConfig(jobs=0)
+
+
+def test_validation_checks_and_aggregation_build_no_ground_objects():
+    """The path all evidence takes reads ground data as rows: after
+    validation, the subset checks and an aggregation trial over a planted
+    corpus, no subset's background has built its clauses, and neither any
+    subset's examples nor any state a trial step reached have built their
+    clauses or atoms.  A change that puts the objects back on this path fails here,
+    not only in the benchmark."""
+    planted = parse_rules((DATA / "planted_rules.rules").read_text(encoding="utf-8"))
+    corpus = generate_corpus(planted, 24, 0.2, seed=5)
+    outcomes = [validate_bundle(s, corpus.bias, 3) for s in corpus.bundle_sources()]
+    subsets = [o.subset for o in outcomes if o.accepted]
+    config = PipelineConfig(seed=5, max_retries=1)
+    reliable, _ = check_subsets(subsets, corpus.bias, config, CoverCache())
+    states = []
+    aggregate(reliable, corpus.bias, config, lambda trial, state: states.append(state))
+    assert len(reliable) >= 15 and len(states) >= 15
+    for s in subsets:
+        assert "clauses" not in s.background.__dict__, s.id
+        assert not {"positives", "negatives"} & s.examples.__dict__.keys(), s.id
+    for state in states:
+        assert "clauses" not in state.background.__dict__, state.accepted_ids[-1]
+        assert not {"positives", "negatives"} & state.examples.__dict__.keys(), state.accepted_ids[-1]
